@@ -5,8 +5,6 @@ Subpackages:
     physics     ground-truth dynamics, integrators, scenarios, datasets
     model       learnable dynamics (structured and black-box variants)
     training    losses and the training loop
-    evaluation  rollout metrics, flow-field recovery, report suites
-    config/cli  declarative run configuration and the command line tool
 """
 
 __version__ = "0.1.0"

@@ -551,7 +551,10 @@ def custom_node(tape: Tape, value: Array, parents: Sequence[Var], multi_vjp) -> 
 
     ``multi_vjp(adjoint)`` must return one gradient per parent, in order.
     It runs once per backward pass; the per-parent callbacks the Tape
-    expects all read from that shared result.
+    expects all read from that shared result.  A ``multi_vjp`` must not
+    reference a ``Var``: each Var holds its tape, and the tape holds the
+    closure, so the tape would become a reference cycle that only the
+    cyclic garbage collector frees.
     """
     cache: dict[int, list[Array]] = {}
 
@@ -655,16 +658,6 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
 _ACT_FNS = {"tanh": tanh, "relu": relu, "softplus": softplus}
 
 
-def affine(x, weight, bias):
-    """``x @ W.T + b`` for batched (N, in) input, ``W @ x + b`` for 1-D input."""
-    xv = x.value if _is_var(x) else _const(x)
-    if xv.ndim == 2:
-        return matmul(x, transpose(weight)) + bias
-    if xv.ndim == 1:
-        return matmul(weight, x) + bias
-    raise ConfigurationError(f"affine expects 1-D/2-D input, got {xv.ndim}-D")
-
-
 def forward_mlp(params: Mapping, x, layer_widths: Sequence[int], activation: str, prefix: str = ""):
     """Run a dense network ``layer_widths[0] -> ... -> layer_widths[-1]``.
 
@@ -732,6 +725,9 @@ def forward_mlp(params: Mapping, x, layer_widths: Sequence[int], activation: str
         h = out
 
     parents = [v for v in (x, *weights, *biases) if _is_var(v)]
+    x_is_var = _is_var(x)
+    w_is_var = [_is_var(w) for w in weights]
+    b_is_var = [_is_var(b) for b in biases]
 
     def multi_vjp(g: Array) -> list[Array]:
         gb = g[None, :] if lifted else g
@@ -749,10 +745,10 @@ def forward_mlp(params: Mapping, x, layer_widths: Sequence[int], activation: str
             hbar = zbar @ w_vals[i]
         xbar = hbar[0] if lifted else hbar
         out = []
-        if _is_var(x):
+        if x_is_var:
             out.append(xbar)
-        out.extend(w_grads[i] for i in range(n_layers) if _is_var(weights[i]))
-        out.extend(b_grads[i] for i in range(n_layers) if _is_var(biases[i]))
+        out.extend(w_grads[i] for i in range(n_layers) if w_is_var[i])
+        out.extend(b_grads[i] for i in range(n_layers) if b_is_var[i])
         return out
 
     return custom_node(tape, h[0] if lifted else h, parents, multi_vjp)

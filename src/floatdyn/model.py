@@ -154,15 +154,6 @@ def coefficient_net(params: Mapping, features, caps: CapConfig, desc: ModelDescr
     return cap_map(raw, caps.as_array())
 
 
-def coefficients_at(
-    params: Mapping, caps: CapConfig, desc: ModelDescriptor, r, sigma
-) -> ph.HydroCoefficients:
-    """Convenience probe for scalar (r, sigma); returns a HydroCoefficients."""
-    features = np.array([[float(r), float(sigma)]])
-    out = np.asarray(coefficient_net(params, features, caps, desc))[0]
-    return ph.HydroCoefficients(*out)
-
-
 # -- streamfunction network -------------------------------------------------------
 
 

@@ -230,7 +230,7 @@ class PerturbedFlow(FlowField):
 
     Each mode contributes psi_j = amp_j * cos(kx_j x + ky_j y + phase_j).
     Mode arrays are (M,) for a single field, or (N, M) to evaluate one
-    independent field per row of an (N,) point batch.
+    independent field per row of an (..., N) point batch.
     """
 
     base: FlowField
@@ -376,19 +376,6 @@ def acceleration(
         forces.total.x + fext.x, forces.total.y + fext.y, body.mass, coeffs.m_ax, coeffs.m_ay
     )
     return Vec2(ax, ay)
-
-
-def state_derivative(
-    state: State,
-    coeffs: HydroCoefficients,
-    body: BodyProperties,
-    fluid: FluidProperties,
-    flow: FlowField,
-    t,
-):
-    """Full (vx, vy, ax, ay) companion to :func:`acceleration`."""
-    a = acceleration(state, coeffs, body, fluid, flow, t)
-    return state.vx, state.vy, a.x, a.y
 
 
 # -- coefficient fields ---------------------------------------------------------
@@ -628,9 +615,6 @@ class MorisonForcing:
     wave_speed: float
     wave_period: float
 
-    def wave_velocity(self, t):
-        return Vec2(self.wave_speed * np.sin(2.0 * np.pi * t / self.wave_period), 0.0)
-
     def __call__(self, state: State, t) -> Vec2:
         omega = 2.0 * np.pi / self.wave_period
         uwx = self.wave_speed * np.sin(omega * t)
@@ -670,6 +654,14 @@ class Scenario:
             rng, p["n_modes"], p["noise_frac"] * base.peak_speed(), (p["k_min"], p["k_max"])
         )
         return PerturbedFlow(base, amp, kx, ky, phase)
+
+    def batch_flow(self, traj_seeds: Sequence[int]) -> FlowField:
+        """One flow whose row i is the flow of trajectory traj_seeds[i]."""
+        if not self.per_trajectory_flow:
+            return self.flow
+        flows = [self.trajectory_flow(ts) for ts in traj_seeds]
+        modes = (np.stack([getattr(fl, k) for fl in flows]) for k in ("amp", "kx", "ky", "phase"))
+        return PerturbedFlow(self.flow, *modes)
 
     def derivative_fn(self, flow: FlowField | None = None):
         """Ground-truth f(s, t) over (..., 4) arrays."""
@@ -785,10 +777,13 @@ def generate_dataset(
     """Integrate ground truth for n_train+n_test seeded trajectories.
 
     Each trajectory gets the derived seed (seed XOR index); membership in
-    train/test is assigned per whole trajectory.  Derivative labels come
-    from the analytic right-hand side at every sample, and the integrator
-    runs at h = dt_sample/substeps so label and rollout error stay far
-    below learned-model error floors.
+    train/test is assigned per whole trajectory.  All trajectories run
+    in one batched integration, one row each; where every trajectory
+    sees its own flow (``noisy_flow``), those flows are stacked row by
+    row into one field by :meth:`Scenario.batch_flow`.  Derivative labels
+    come from the analytic right-hand side at every sample, evaluated in
+    one vectorised call, and the integrator runs at h = dt_sample/substeps
+    so label and rollout error stay far below learned-model error floors.
     """
     if n_train < 1 or n_test < 1:
         raise ConfigurationError("n_train and n_test must each be >= 1")
@@ -804,31 +799,22 @@ def generate_dataset(
         ]
     )
 
-    trajectories: list[Trajectory] = []
-
-    def build(indices: Sequence[int], flow: FlowField) -> None:
-        f = scenario.derivative_fn(flow)
-        times, samples = integrate(f, starts[list(indices)], 0.0, duration, h, sample_every=substeps)
-        derivs = np.stack([f(samples[k], times[k]) for k in range(len(times))])
-        for col, i in enumerate(indices):
-            trajectories.append(
-                Trajectory(
-                    traj_id=f"{scenario.kind}-{i:03d}",
-                    scenario=scenario.kind,
-                    seed=traj_seeds[i],
-                    split="train" if i < n_train else "test",
-                    dt=dt_sample,
-                    times=times,
-                    states=samples[:, col, :],
-                    derivs=derivs[:, col, :],
-                )
-            )
-
-    if scenario.per_trajectory_flow:
-        for i in range(n_total):
-            build([i], scenario.trajectory_flow(traj_seeds[i]))
-    else:
-        build(range(n_total), scenario.flow)
+    f = scenario.derivative_fn(scenario.batch_flow(traj_seeds))
+    times, samples = integrate(f, starts, 0.0, duration, h, sample_every=substeps)
+    derivs = f(samples, times[:, None])
+    trajectories = [
+        Trajectory(
+            traj_id=f"{scenario.kind}-{i:03d}",
+            scenario=scenario.kind,
+            seed=traj_seeds[i],
+            split="train" if i < n_train else "test",
+            dt=dt_sample,
+            times=times,
+            states=samples[:, i, :],
+            derivs=derivs[:, i, :],
+        )
+        for i in range(n_total)
+    ]
 
     trajectories.sort(key=lambda tr: tr.traj_id)
     manifest = {

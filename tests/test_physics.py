@@ -379,14 +379,27 @@ def test_split_membership_is_exclusive():
     assert len(train_ids | test_ids) == 6
 
 
-def test_derivative_labels_match_analytic_rhs():
-    scenario = ph.make_scenario("steady_vortex")
+@pytest.mark.parametrize("kind", ph.SCENARIO_KINDS)
+def test_derivative_labels_match_analytic_rhs(kind):
+    scenario = ph.make_scenario(kind)
     ds = ph.generate_dataset(scenario, 1, 1, duration=0.5, dt_sample=0.05, seed=5)
     tr = ds.trajectories[0]
-    f = scenario.derivative_fn()
+    f = scenario.derivative_fn(scenario.trajectory_flow(tr.seed))
     for k in (0, 5, 10):
         want = f(tr.states[k], tr.times[k])
         assert np.allclose(tr.derivs[k], want, atol=0.0)
+
+
+def test_batched_noisy_flow_dataset_equals_per_trajectory_integration():
+    scenario = ph.make_scenario("noisy_flow")
+    ds = ph.generate_dataset(scenario, 3, 2, duration=0.5, dt_sample=0.05, seed=6)
+    for tr in ds.trajectories:
+        f = scenario.derivative_fn(scenario.trajectory_flow(tr.seed))
+        times, states = ph.integrate(f, tr.states[:1], 0.0, 0.5, 0.005, sample_every=10)
+        derivs = np.stack([f(states[k], times[k]) for k in range(len(times))])
+        assert np.array_equal(tr.times, times)
+        assert np.array_equal(tr.states, states[:, 0, :])
+        assert np.array_equal(tr.derivs, derivs[:, 0, :])
 
 
 def test_noisy_flow_differs_per_trajectory_but_is_seeded():

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -364,3 +366,22 @@ def test_split_train_val_holds_out_tail():
     assert core == ["a", "b", "c"] and val == ["d"]
     with pytest.raises(ConfigurationError):
         tr.split_train_val(trajs, 4)
+
+
+@pytest.mark.parametrize("variant", ["fhnn", "neural_ode"])
+def test_training_step_tape_is_freed_by_reference_counting(vortex_dataset, variant):
+    # a tape in a reference cycle would wait for the cyclic collector
+    scenario, dataset = vortex_dataset
+    m = md.DynamicsModel.initialize(variant, seed=12, body=scenario.body, fluid=scenario.fluid)
+    states, nexts, derivs, times = _batch(dataset)
+    gc.collect()
+    gc.disable()
+    try:
+        tape = ad.Tape()
+        leaves = m.params.as_leaves(tape)
+        total, _ = tr.training_losses(m, states, nexts, derivs, times, 0.05, tr.LossWeights(), params=leaves)
+        ad.backward(tape, total)
+        del tape, leaves, total
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
