@@ -487,6 +487,9 @@ def stack_last(parts: Sequence):
     """
     var_parts = [p for p in parts if _is_var(p)]
     if not var_parts:
+        shape = np.shape(parts[0])
+        if all(type(p) is np.ndarray and p.dtype == np.float64 and p.shape == shape for p in parts):
+            return np.stack(parts, axis=-1)
         arrs = [_const(p) for p in parts]
         ref = next((a.shape for a in arrs if a.ndim > 0), ())
         arrs = [np.broadcast_to(a, ref) for a in arrs]

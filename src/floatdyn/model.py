@@ -11,10 +11,12 @@ Two families share one state-derivative contract f(s, t):
   raw state.
 
 Ablation variants reuse the structured assembly with pieces switched
-off.  ``stream_eval`` propagates first and second input-derivatives
-through every layer structurally, on the same first-order tape, so the
-flow, its divergence-free construction and the Hessian penalty are all
-differentiable with respect to the parameters.
+off.  ``stream_eval`` pushes psi with its first and second
+input-derivatives through the streamfunction network in one numpy pass
+(Taylor mode).  On the tape that pass is one node with a hand-written
+backward, so the flow, its divergence-free construction and the Hessian
+penalty are all differentiable with respect to the parameters, and at
+first order also with respect to the positions.
 """
 
 from __future__ import annotations
@@ -176,79 +178,141 @@ class StreamEval:
         return self.hxx * self.hxx + 2.0 * (self.hxy * self.hxy) + self.hyy * self.hyy
 
 
-def _activation_derivatives(z, activation: str):
-    """(phi(z), phi'(z), phi''(z)) on the tape or in numpy.
+def _stream_jet(weights, biases, a, activation: str, order: int, saves=None) -> list:
+    """Push the jet of psi through the stream MLP in numpy, layer by layer.
 
-    relu's phi' is a step that enters the tape as a constant, and its
-    phi'' = 0 almost everywhere.
+    ``a`` holds (N, 2) positions.  Each layer carries the channels
+    (value, d/dx, d/dy) and, at order 2, (d2/dx2, d2/dxdy, d2/dy2) as
+    (N, width) arrays: affine layers map every channel through W (only the
+    value gets the bias), and activations apply the chain rule with phi'
+    and phi''.  The first layer's d/dx and d/dy channels are W0's columns,
+    and its second-order channels are zero.  Returns the output columns
+    (psi, gx, gy[, hxx, hxy, hyy]).
+
+    If ``saves`` is a list, one more activation derivative is computed and
+    each activation appends what the reverse sweep reads: the
+    pre-activation derivative channels, phi', phi'', phi''' and its output
+    channels.
     """
-    if activation == "tanh":
-        t = ad.tanh(z)
-        d1 = 1.0 - t * t
-        d2 = -2.0 * (t * d1)
-        return t, d1, d2
-    if activation == "softplus":
-        s = ad.sigmoid(z)
-        return ad.softplus(z), s, s * (1.0 - s)
-    if activation == "relu":
-        step = ad.relu_prime(z)
-        return ad.relu(z), step, 0.0
-    raise ConfigurationError(f"unknown activation: {activation!r}")
+    w = weights[0]
+    z = [a @ w.T + biases[0], w[:, 0], w[:, 1]]
+    if order == 2:
+        z += [0.0, 0.0, 0.0]
+    deriv_order = order + 1 if saves is not None else order
+    for i in range(1, len(weights)):
+        phi, base = ad.activation_value_and_base(activation, z[0])
+        d1, d2, d3 = ad.activation_derivatives(activation, base, deriv_order)
+        zx, zy = z[1], z[2]
+        h = [phi, d1 * zx, d1 * zy]
+        if order == 2:
+            zxx, zxy, zyy = z[3:]
+            if d2 is None:  # relu: phi'' = 0 almost everywhere
+                h += [d1 * zxx, d1 * zxy, d1 * zyy]
+            else:
+                h += [
+                    d2 * (zx * zx) + d1 * zxx,
+                    d2 * (zx * zy) + d1 * zxy,
+                    d2 * (zy * zy) + d1 * zyy,
+                ]
+        if saves is not None:
+            saves.append((z[1:], d1, d2, d3, h))
+        wt = weights[i].T
+        z = [h[0] @ wt + biases[i]] + [c @ wt for c in h[1:]]
+    if len(weights) == 1:  # no hidden layer: derivative channels are constants
+        z = [np.broadcast_to(c, z[0].shape) for c in z]
+    return [c[:, 0] for c in z]
+
+
+def _activation_vjp(hbar: list, zd: list, d1, d2, d3) -> list:
+    """Adjoints of an activation's input channels from its output adjoints.
+
+    ``zd`` holds the input's derivative channels; ``d2`` and ``d3`` are
+    None where phi'' and phi''' vanish (relu).
+    """
+    vbar, xbar, ybar = hbar[:3]
+    zx, zy = zd[:2]
+    out = [vbar * d1, xbar * d1, ybar * d1]
+    if len(hbar) == 3:
+        if d2 is not None:
+            out[0] += (xbar * zx + ybar * zy) * d2
+        return out
+    xxbar, xybar, yybar = hbar[3:]
+    zxx, zxy, zyy = zd[2:]
+    out += [xxbar * d1, xybar * d1, yybar * d1]
+    if d2 is not None:
+        out[0] += d2 * (xbar * zx + ybar * zy + xxbar * zxx + xybar * zxy + yybar * zyy)
+        out[0] += d3 * (xxbar * (zx * zx) + xybar * (zx * zy) + yybar * (zy * zy))
+        out[1] += d2 * (2.0 * xxbar * zx + xybar * zy)
+        out[2] += d2 * (xybar * zx + 2.0 * yybar * zy)
+    return out
 
 
 def stream_eval(params: Mapping, x, y, desc: ModelDescriptor, order: int = 2) -> StreamEval:
-    """Evaluate psi and propagate d/dx, d/dy (and second derivatives).
+    """Evaluate psi with its gradient and, at order 2, its Hessian.
 
-    Affine layers transform each derivative channel linearly; activations
-    apply the chain rule with phi' and phi''.  Everything is recorded on
-    the caller's tape when inputs/params are Vars, so parameter gradients
-    of any function of (psi, grad, Hess) are available.
+    One numpy pass, :func:`_stream_jet`, pushes the jet through the
+    network.  With plain arrays its columns are returned as they are.
+    When parameters or positions are Vars the jet is recorded as one tape
+    node, valued (N, 3) or (N, 6), whose hand-written backward sweeps the
+    saved per-layer values in reverse; each field is a column of that
+    node, so parameter gradients of any function of (psi, grad, Hess) are
+    available.  Position adjoints are carried at order 1 only: at order 2,
+    Var positions raise :class:`UsageError`.
     """
     if order not in (1, 2):
         raise ConfigurationError("order must be 1 or 2")
-    widths = desc.stream_widths
-    a = ad.stack_last([x, y])
-    shape = (a.value if isinstance(a, ad.Var) else a).shape[:-1]
-    one = np.ones(shape)
-    zero = np.zeros(shape)
-    # channels: value, d/dx, d/dy (+ dxx, dxy, dyy), each (..., width)
-    ax = ad.stack_last([one, zero])
-    ay = ad.stack_last([zero, one])
-    second = [ad.stack_last([zero, zero])] * 3 if order == 2 else None
+    n_layers = len(desc.stream_widths) - 1
+    inputs = [x, y]
+    inputs += [params[f"stream.W{i}"] for i in range(n_layers)]
+    inputs += [params[f"stream.b{i}"] for i in range(n_layers)]
+    is_var = [isinstance(v, ad.Var) for v in inputs]
+    vals = [v.value if var else v for v, var in zip(inputs, is_var)]
+    w_vals, b_vals = vals[2 : 2 + n_layers], vals[2 + n_layers :]
+    a = ad.stack_last(vals[:2])
+    if a.ndim > 2:
+        raise ConfigurationError(f"stream_eval expects scalar or 1-D positions, got {a.ndim - 1}-D")
+    lifted = a.ndim == 1
+    if lifted:
+        a = a[None, :]
 
-    n_layers = len(widths) - 1
-    for i in range(n_layers):
-        w = params[f"stream.W{i}"]
-        b = params[f"stream.b{i}"]
-        wt = ad.transpose(w)
-        z = ad.matmul(a, wt) + b
-        zx = ad.matmul(ax, wt)
-        zy = ad.matmul(ay, wt)
-        if order == 2:
-            zxx, zxy, zyy = (ad.matmul(s, wt) for s in second)
-        if i == n_layers - 1:
-            a, ax, ay = z, zx, zy
-            if order == 2:
-                second = [zxx, zxy, zyy]
-            break
-        phi, d1, d2 = _activation_derivatives(z, desc.activation)
-        a = phi
-        ax = d1 * zx
-        ay = d1 * zy
-        if order == 2:
-            second = [
-                d2 * (zx * zx) + d1 * zxx,
-                d2 * (zx * zy) + d1 * zxy,
-                d2 * (zy * zy) + d1 * zyy,
-            ]
+    if not any(is_var):
+        cols = _stream_jet(w_vals, b_vals, a, desc.activation, order)
+        return StreamEval(*[c.reshape(()) for c in cols] if lifted else cols)
 
-    def last(channel):
-        return ad.take_col(channel, 0)
+    pos_is_var = is_var[0] or is_var[1]
+    if pos_is_var and order == 2:
+        raise ad.UsageError("stream_eval carries position adjoints at order 1 only")
+    if pos_is_var and any(np.shape(v) != a.shape[:-1] for v in vals[:2]):
+        raise ConfigurationError("Var positions need x and y of one shape")
+    saves: list = []
+    cols = _stream_jet(w_vals, b_vals, a, desc.activation, order, saves)
+    value = np.stack(cols, axis=-1)
 
-    out = StreamEval(psi=last(a), gx=last(ax), gy=last(ay))
-    if order == 2:
-        out.hxx, out.hxy, out.hyy = (last(s) for s in second)
-    return out
+    def multi_vjp(g: Array) -> list[Array]:
+        gb = g[None, :] if lifted else g
+        zbar = [gb[:, k : k + 1] for k in range(gb.shape[1])]
+        w_grads = [None] * n_layers
+        b_grads = [None] * n_layers
+        for i in range(n_layers - 1, 0, -1):
+            zd, d1, d2, d3, h = saves[i - 1]
+            w_grads[i] = sum(zb.T @ hc for zb, hc in zip(zbar, h))
+            b_grads[i] = zbar[0].sum(axis=0)
+            zbar = _activation_vjp([zb @ w_vals[i] for zb in zbar], zd, d1, d2, d3)
+        # the first layer's inputs: the positions, unit vectors for d/dx
+        # and d/dy, and zero second-order channels
+        w_grads[0] = zbar[0].T @ a
+        w_grads[0][:, 0] += zbar[1].sum(axis=0)
+        w_grads[0][:, 1] += zbar[2].sum(axis=0)
+        b_grads[0] = zbar[0].sum(axis=0)
+        grads = [None, None, *w_grads, *b_grads]
+        if pos_is_var:
+            abar = zbar[0] @ w_vals[0]
+            grads[0], grads[1] = abar[0] if lifted else abar.T
+        return [gr for gr, var in zip(grads, is_var) if var]
+
+    parents = [v for v, var in zip(inputs, is_var) if var]
+    node = ad.custom_node(parents[0].tape, value[0] if lifted else value, parents, multi_vjp)
+    return StreamEval(*(ad.take_col(node, k) for k in range(len(cols))))
 
 
 # -- derivative assembly ------------------------------------------------------------

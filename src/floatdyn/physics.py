@@ -687,7 +687,7 @@ class Scenario:
         return f
 
 
-def make_scenario(kind: str, params: Mapping | None = None, seed: int = 0) -> Scenario:
+def make_scenario(kind: str, params: Mapping | None = None) -> Scenario:
     """Build one of the five ground-truth systems, with overridable params."""
     if kind not in SCENARIO_KINDS:
         raise ConfigurationError(f"unknown scenario kind: {kind!r} (choose from {SCENARIO_KINDS})")
@@ -815,8 +815,6 @@ def generate_dataset(
         )
         for i in range(n_total)
     ]
-
-    trajectories.sort(key=lambda tr: tr.traj_id)
     manifest = {
         "scenario": scenario.kind,
         "params": scenario.params,
@@ -837,7 +835,7 @@ def generate_dataset(
 
 def scenario_from_manifest(manifest: Mapping) -> Scenario:
     """Rebuild the generating system recorded in a dataset manifest."""
-    return make_scenario(manifest["scenario"], params=manifest["params"], seed=manifest.get("seed", 0))
+    return make_scenario(manifest["scenario"], params=manifest["params"])
 
 
 # -- numeric field checks -----------------------------------------------------

@@ -232,6 +232,23 @@ def test_take_col_and_stack_last_roundtrip_gradients():
     assert np.allclose(g, expect, atol=1e-12)
 
 
+def test_stack_last_numpy_mode_arrays_only():
+    a = np.array([1.0, -2.0, 3.5])
+    b = np.array([0.25, 0.0, -1.0])
+    out = ad.stack_last([a, b])
+    assert out.shape == (3, 2)
+    assert np.array_equal(out[:, 0], a) and np.array_equal(out[:, 1], b)
+    assert np.array_equal(ad.stack_last([np.float64(2.0), np.float64(3.0)]), [2.0, 3.0])
+
+
+def test_stack_last_numpy_mode_broadcasts_scalar_constants():
+    a = np.array([1.0, -2.0, 3.5])
+    out = ad.stack_last([a, 0.0, np.array([4, 5, 6])])  # scalar and an int array mixed in
+    assert out.dtype == np.float64
+    assert np.array_equal(out, [[1.0, 0.0, 4.0], [-2.0, 0.0, 5.0], [3.5, 0.0, 6.0]])
+    assert np.array_equal(ad.stack_last([1.5, a]), np.stack([np.full(3, 1.5), a], axis=-1))
+
+
 # -- forward_mlp ---------------------------------------------------------------
 
 

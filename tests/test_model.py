@@ -5,7 +5,7 @@ from floatdyn import autodiff as ad
 from floatdyn import model as md
 from floatdyn import physics as ph
 from floatdyn.autodiff import ConfigurationError
-from oracles import plugin_truth_model
+from oracles import fd_gradient, grad_mismatches, plugin_truth_model
 
 CAPS = md.CapConfig()
 
@@ -150,6 +150,111 @@ def test_learned_velocity_field_is_divergence_free_for_any_weights():
         xs, ys = np.meshgrid(np.linspace(-2, 2, 20), np.linspace(-2, 2, 20))
         div = ph.numerical_divergence(velocity, xs.ravel(), ys.ravel(), spacing=1e-4)
         assert np.max(np.abs(div)) < 1e-6
+
+
+# -- the fused stream node ---------------------------------------------------------
+
+STREAM_DESCRIPTORS = {
+    "tanh": md.ModelDescriptor("fhnn", hidden=(6, 5), activation="tanh", seed=3),
+    "softplus": md.ModelDescriptor("fhnn", hidden=(6, 5), activation="softplus", seed=3),
+    "relu": md.ModelDescriptor("relu", hidden=(6, 5), activation="relu", seed=3),
+}
+
+
+def _stream_params(desc, rng):
+    """The stream tensors of a fresh init, perturbed so biases are nonzero."""
+    params = md.init_params(desc)
+    return {
+        name: params[name] + 0.1 * rng.normal(size=params[name].shape)
+        for name in params.names()
+        if name.startswith("stream.")
+    }
+
+
+def _jet(ev, order):
+    fields = ("psi", "gx", "gy", "hxx", "hxy", "hyy")[: 3 * order]
+    return [getattr(ev, f) for f in fields]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("activation", ["tanh", "softplus", "relu"])
+def test_stream_node_vjp_matches_finite_differences(activation, order):
+    desc = STREAM_DESCRIPTORS[activation]
+    rng = np.random.default_rng(17)
+    params = _stream_params(desc, rng)
+    x0, y0 = rng.uniform(-1.5, 1.5, size=(2, 7))
+    weights = rng.normal(size=(3 * order, 7))
+
+    def f(work):
+        ev = md.stream_eval(work, work["x"], work["y"], desc, order=order)
+        return float(sum(np.sum(w * np.asarray(c)) for w, c in zip(weights, _jet(ev, order))))
+
+    tape = ad.Tape()
+    leaves = {name: tape.leaf(v) for name, v in params.items()}
+    if order == 1:
+        leaves["x"], leaves["y"] = tape.leaf(x0), tape.leaf(y0)
+        ev = md.stream_eval(leaves, leaves["x"], leaves["y"], desc, order=1)
+    else:  # order 2 carries parameter adjoints only
+        ev = md.stream_eval(leaves, x0, y0, desc, order=2)
+    root = sum(ad.vsum(w * c) for w, c in zip(weights, _jet(ev, order)))
+    ad.backward(tape, root)
+    got = ad.parameter_gradients(tape, leaves)
+    want = fd_gradient(f, {**params, "x": x0, "y": y0})
+    if order == 2:
+        del want["x"], want["y"]
+    bad = grad_mismatches(got, want, rel_tol=1e-5, abs_floor=1e-9)
+    assert not bad, bad
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("variant", md.VARIANTS)
+def test_tape_mode_forward_equals_numpy_mode_bitwise(variant):
+    scenario = ph.make_scenario("steady_vortex")
+    m = md.DynamicsModel.initialize(variant, seed=4, body=scenario.body, fluid=scenario.fluid)
+    s = np.random.default_rng(5).uniform(-2.0, 2.0, size=(9, 4))
+
+    tape = ad.Tape()
+    leaves = m.params.as_leaves(tape)
+    assert _same_bits(m.derivative(s, 0.3, params=leaves).value, m.derivative(s, 0.3))
+    # Var states, as in RK4 stages 2-4 of the training loss
+    d = m.derivative(tape.leaf(s), 0.3, params=leaves)
+    assert _same_bits(d.value, m.derivative(s, 0.3))
+    if variant == "neural_ode":
+        return
+    for order in (1, 2):
+        ev_tape = md.stream_eval(leaves, s[:, 0], s[:, 1], m.descriptor, order=order)
+        ev_np = md.stream_eval(m.params, s[:, 0], s[:, 1], m.descriptor, order=order)
+        for c_tape, c_np in zip(_jet(ev_tape, order), _jet(ev_np, order)):
+            assert _same_bits(c_tape.value, c_np)
+
+
+@pytest.mark.parametrize("order, limit", [(1, 4), (2, 7)])
+def test_stream_eval_records_one_node_plus_columns(order, limit):
+    desc = md.make_descriptor("fhnn", seed=1)
+    params = md.init_params(desc)
+    tape = ad.Tape()
+    leaves = params.as_leaves(tape)
+    x = np.array([0.2, -0.4])
+    if order == 1:
+        x = tape.leaf(x)  # Var positions, as in RK4 stages 2-4
+    before = len(tape)
+    md.stream_eval(leaves, x, np.array([1.0, 0.5]), desc, order=order)
+    assert len(tape) - before <= limit
+
+
+def test_stream_eval_order_two_refuses_var_positions():
+    desc = md.make_descriptor("fhnn", seed=1)
+    params = md.init_params(desc)
+    tape = ad.Tape()
+    x = tape.leaf(np.array([0.2, -0.4]))
+    with pytest.raises(ad.UsageError):
+        md.stream_eval(params, x, np.array([1.0, 0.5]), desc, order=2)
+    with pytest.raises(ad.UsageError):
+        md.stream_eval(params.as_leaves(tape), np.array([1.0, 0.5]), x, desc, order=2)
 
 
 # -- structured derivative ----------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from floatdyn import physics as ph
 from floatdyn.autodiff import ConfigurationError
+from floatdyn.training import split_train_val
 
 # frozen: exact rational RK4 step for y'=-y, y0=1, h=0.1 (72387/80000)
 RK4_EXP_STEP = 0.9048375
@@ -377,6 +378,17 @@ def test_split_membership_is_exclusive():
     test_ids = {t.traj_id for t in ds.split("test")}
     assert not (train_ids & test_ids)
     assert len(train_ids | test_ids) == 6
+
+
+def test_trajectories_keep_index_order_past_999():
+    # ids gain a fourth digit at 1000, where string order and index order part
+    scenario = ph.make_scenario("steady_vortex")
+    ds = ph.generate_dataset(scenario, 1002, 1, duration=0.05, dt_sample=0.05, seed=2)
+    train = ds.split("train")
+    assert [t.traj_id for t in train] == [f"steady_vortex-{i:03d}" for i in range(1002)]
+    assert [t.traj_id for t in ds.split("test")] == ["steady_vortex-1002"]
+    _, val = split_train_val(train, 8)
+    assert [t.traj_id for t in val] == [f"steady_vortex-{i}" for i in range(994, 1002)]
 
 
 @pytest.mark.parametrize("kind", ph.SCENARIO_KINDS)
