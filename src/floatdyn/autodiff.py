@@ -314,8 +314,7 @@ def activation_value_and_base(name: str, z: Array) -> tuple[Array, Array]:
     if name == "softplus":
         return _softplus_value(z), _sigmoid_value(z)
     if name == "relu":
-        step = relu_prime(z)
-        return z * step, step
+        return np.maximum(z, 0.0), relu_prime(z)
     raise ConfigurationError(f"unknown activation: {name!r}")
 
 
@@ -425,12 +424,6 @@ def matmul(a, b):
         parents.append(b.idx)
         vjps.append(grad_b)
     return tape._record(out, tuple(parents), tuple(vjps))
-
-
-def transpose(x):
-    if _is_var(x):
-        return x.tape._record(x.value.T, (x.idx,), (lambda g: g.T,))
-    return np.transpose(x)
 
 
 def vsum(x):
@@ -626,9 +619,6 @@ class ParamStore:
     def as_leaves(self, tape: Tape) -> dict[str, Var]:
         """Record every tensor as a tape leaf; returns name -> Var."""
         return {name: tape.leaf(value) for name, value in self._tensors.items()}
-
-    def n_scalars(self) -> int:
-        return sum(v.size for v in self._tensors.values())
 
 
 def save_checkpoint(path, params: ParamStore, metadata: Mapping) -> None:

@@ -341,8 +341,12 @@ class DynamicsModel:
         desc = make_descriptor(variant, seed=seed)
         return cls(descriptor=desc, params=init_params(desc), **kwargs)
 
-    def derivative(self, s, t, params: Mapping | None = None, flow_override=None):
-        """State derivative for (..., 4) states; tape mode when params are Vars."""
+    def derivative(self, s, t, params: Mapping | None = None, flow_override=None, jet=None):
+        """State derivative for (..., 4) states; tape mode when params are Vars.
+
+        ``jet`` is an optional ``stream_eval`` of these params at the positions
+        of ``s``; see :func:`fhnn_derivative`.
+        """
         p = self.params if params is None else params
         if self.descriptor.variant == "neural_ode":
             return neural_ode_derivative(s, t, p, self.descriptor)
@@ -355,6 +359,7 @@ class DynamicsModel:
             self.descriptor,
             self.caps,
             flow_override=flow_override if flow_override is not None else self.flow_override,
+            jet=jet,
         )
 
     def flow_velocity(self, x, y, params: Mapping | None = None):
@@ -411,6 +416,7 @@ def fhnn_derivative(
     caps: CapConfig,
     flow_override=None,
     tie_added_mass: bool = False,
+    jet: StreamEval | None = None,
 ):
     """Structured state derivative: learned flow + learned capped coefficients
     fed through the analytic relative-velocity / drag / effective-mass pipeline.
@@ -418,6 +424,9 @@ def fhnn_derivative(
     ``flow_override`` substitutes a known flow field for the learned one
     (plug-in consistency oracles); ``tie_added_mass`` averages the two
     added masses (isotropic setting, used by equivariance tests only).
+    ``jet``, a ``stream_eval`` of ``params`` at the positions of ``s`` of
+    either order, replaces the learned flow's own order-1 evaluation; it
+    is ignored where the flow is overridden or fixed to zero.
     """
     x = ad.take_col(s, 0)
     y = ad.take_col(s, 1)
@@ -430,7 +439,8 @@ def fhnn_derivative(
     elif desc.variant == "no_flow_field":
         ux, uy = 0.0, 0.0
     else:
-        ux, uy = stream_eval(params, x, y, desc, order=1).velocity()
+        ev = stream_eval(params, x, y, desc, order=1) if jet is None else jet
+        ux, uy = ev.velocity()
 
     vrx, vry, sigma = ph.relative_velocity(vx, vy, ux, uy, fluid.eps)
     r = ad.sqrt(x * x + y * y)

@@ -76,12 +76,6 @@ class State:
         s = np.asarray(s, dtype=np.float64)
         return cls(s[..., 0], s[..., 1], s[..., 2], s[..., 3])
 
-    def to_array(self) -> Array:
-        return np.stack(
-            [np.asarray(self.x), np.asarray(self.y), np.asarray(self.vx), np.asarray(self.vy)],
-            axis=-1,
-        )
-
 
 def zero_force(state: State, t) -> Vec2:
     return Vec2(0.0, 0.0)

@@ -11,6 +11,7 @@ bitwise deterministic under a fixed seed.
 from __future__ import annotations
 
 import csv
+import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -24,6 +25,8 @@ from .model import DynamicsModel, stream_eval
 from .physics import Dataset, Trajectory
 
 Array = np.ndarray
+
+logger = logging.getLogger(__name__)
 
 LOG_COLUMNS = ("epoch", "lr", "l_deriv", "l_step", "l_smooth", "total", "val_total")
 
@@ -144,15 +147,20 @@ def loss_step(model: DynamicsModel, states: Array, next_states: Array, times, de
 
 def loss_smooth(model: DynamicsModel, positions: Array, lambda_flow: float, params=None):
     """lambda_flow times the mean squared Frobenius norm of the psi Hessian."""
-    if model.descriptor.variant == "neural_ode":
-        return 0.0
-    if lambda_flow == 0.0:
-        return 0.0
+    return _smoothness(model, positions, lambda_flow, params)[1]
+
+
+def _smoothness(model: DynamicsModel, positions: Array, lambda_flow: float, params=None):
+    """The order-2 psi jet at ``positions`` and the Hessian penalty built on it.
+
+    Returns (None, 0.0) when the model has no stream network or the
+    penalty has zero weight.
+    """
+    if model.descriptor.variant == "neural_ode" or lambda_flow == 0.0:
+        return None, 0.0
     p = model.params if params is None else params
-    x = positions[:, 0]
-    y = positions[:, 1]
-    ev = stream_eval(p, x, y, model.descriptor, order=2)
-    return lambda_flow * ad.vmean(ev.hessian_frobenius_sq())
+    jet = stream_eval(p, positions[:, 0], positions[:, 1], model.descriptor, order=2)
+    return jet, lambda_flow * ad.vmean(jet.hessian_frobenius_sq())
 
 
 def training_losses(
@@ -165,15 +173,19 @@ def training_losses(
     weights: LossWeights,
     params=None,
 ):
-    """All loss terms at once, sharing the first derivative evaluation.
+    """All loss terms at once, sharing two evaluations between them.
 
-    The shared evaluation is the RK4 step's first stage, so values are
-    identical to calling the standalone loss functions.  Returns
-    (total, LossBreakdown) where total is a Var in tape mode.
+    The derivative match reuses the RK4 step's first stage, and that stage
+    reuses the order-2 streamfunction jet of the smoothness term, both
+    taken at ``states``: the jet's psi and gradient columns are bitwise
+    the order-1 evaluation.  So values are identical to calling the
+    standalone loss functions.  Returns (total, LossBreakdown) where total
+    is a Var in tape mode.
     """
     n = len(states)
+    jet, l_smooth = _smoothness(model, states[:, :2], weights.lambda_flow, params=params)
     f = lambda s, t: model.derivative(s, t, params=params)
-    d1 = f(states, times)
+    d1 = model.derivative(states, times, params=params, jet=jet)
     l_deriv = _mean_sq_norm(d1 - derivs, n)
 
     half = 0.5 * delta
@@ -183,7 +195,6 @@ def training_losses(
     phi = states + (delta / 6.0) * (d1 + 2.0 * k2 + 2.0 * k3 + k4)
     l_step = _mean_sq_norm(phi - next_states, n)
 
-    l_smooth = loss_smooth(model, states[:, :2], weights.lambda_flow, params=params)
     total = weights.w_deriv * l_deriv + weights.w_step * l_step + l_smooth
     breakdown = LossBreakdown(
         l_deriv=float(_scalar(l_deriv)),
@@ -246,12 +257,12 @@ def train(
     dataset: Dataset,
     config: TrainConfig,
     checkpoint_dir=None,
-    quiet: bool = True,
 ) -> TrainResult:
     """Minibatch Adam over the training split; test trajectories are never touched.
 
     Mutates ``model.params`` in place and returns the final and
-    best-by-validation parameters plus the per-epoch loss log.  A
+    best-by-validation parameters plus the per-epoch loss log, which is
+    also reported epoch by epoch at INFO level on this module's logger.  A
     non-finite loss or gradient aborts with TrainingDivergedError whose
     ``result`` attribute carries the log and the last healthy parameters.
     """
@@ -316,10 +327,10 @@ def train(
             best_params = model.params.copy()
         if checkpoint_dir and config.checkpoint_every and epoch % config.checkpoint_every == 0:
             _save(model, model.params, checkpoint_dir / f"epoch{epoch:05d}.json", epoch)
-        if not quiet:
-            print(
-                f"epoch {epoch:5d}  lr {lr:.2e}  total {means[3]:.3e}  val {val_total:.3e}"
-            )
+        logger.info(
+            "epoch %5d  lr %.2e  l_deriv %.3e  l_step %.3e  l_smooth %.3e  total %.3e  val %.3e",
+            epoch, lr, means[0], means[1], means[2], means[3], val_total,
+        )
 
     if val_batch is None:
         best_params = model.params.copy()

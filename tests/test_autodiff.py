@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -289,6 +290,25 @@ def test_forward_mlp_batched_matches_vector_mode():
     batched = ad.forward_mlp(store, xs, [2, 8, 3], "tanh")
     rows = np.stack([ad.forward_mlp(store, x, [2, 8, 3], "tanh") for x in xs])
     assert np.allclose(batched, rows, atol=1e-14)
+
+
+def test_relu_activation_value_is_max_with_zero():
+    # as ad.relu: -inf maps to 0 without a warning, and negatives to +0.0
+    z = np.array([-np.inf, -1.5, -0.0, 0.0, 2.0, np.inf])
+    value, base = ad.activation_value_and_base("relu", z)
+    assert np.array_equal(value, [0.0, 0.0, 0.0, 0.0, 2.0, np.inf])
+    assert not np.signbit(value).any()
+    assert np.array_equal(base, ad.relu_prime(z))
+
+    store = ad.ParamStore({"W0": [[1.0]], "b0": [0.0], "W1": [[1.0]], "b1": [0.0]})
+    x = np.array([[-np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ad.forward_mlp(store, x, (1, 1, 1), "relu")
+        tape = ad.Tape()
+        taped = ad.forward_mlp(store.as_leaves(tape), x, (1, 1, 1), "relu")
+    assert out.tolist() == [[0.0]]
+    assert taped.value.tobytes() == out.tobytes()
 
 
 def test_forward_mlp_shape_mismatch_is_configuration_error():

@@ -1,4 +1,5 @@
 import gc
+import logging
 
 import numpy as np
 import pytest
@@ -149,9 +150,15 @@ def test_loss_smooth_vanishes_for_relu_variant():
 # -- combined objective -------------------------------------------------------------
 
 
-def test_training_losses_total_is_weighted_sum(vortex_dataset):
+@pytest.mark.parametrize("flow", ["learned", "flow_override", "no_flow_field"])
+def test_training_losses_total_is_weighted_sum(vortex_dataset, flow):
+    # an overridden or zero flow must not pick up the shared streamfunction jet
     scenario, dataset = vortex_dataset
-    m = md.DynamicsModel.initialize("fhnn", seed=7, body=scenario.body, fluid=scenario.fluid)
+    variant = "no_flow_field" if flow == "no_flow_field" else "fhnn"
+    override = scenario.flow if flow == "flow_override" else None
+    m = md.DynamicsModel.initialize(
+        variant, seed=7, body=scenario.body, fluid=scenario.fluid, flow_override=override
+    )
     states, nexts, derivs, times = _batch(dataset)
     weights = tr.LossWeights(w_deriv=1.0, w_step=2.0, lambda_flow=1e-3)
     total, parts = tr.training_losses(m, states, nexts, derivs, times, 0.05, weights)
@@ -162,6 +169,30 @@ def test_training_losses_total_is_weighted_sum(vortex_dataset):
     assert parts.l_deriv == float(tr.loss_derivative(m, states, derivs, times))
     assert parts.l_step == float(tr.loss_step(m, states, nexts, times, 0.05))
     assert parts.l_smooth == float(tr.loss_smooth(m, states[:, :2], weights.lambda_flow))
+
+
+@pytest.mark.parametrize("mode", ["numpy", "tape"])
+def test_training_losses_shares_one_order_two_stream_jet(vortex_dataset, monkeypatch, mode):
+    # RK4 stage 1 reads the smoothness term's jet: one order-2 call, and
+    # order 1 only for stages 2-4
+    scenario, dataset = vortex_dataset
+    m = md.DynamicsModel.initialize("fhnn", seed=7, body=scenario.body, fluid=scenario.fluid)
+    states, nexts, derivs, times = _batch(dataset)
+    orders = []
+    stream_eval = md.stream_eval
+
+    def counted(params, x, y, desc, order=2):
+        orders.append(order)
+        return stream_eval(params, x, y, desc, order)
+
+    monkeypatch.setattr(md, "stream_eval", counted)
+    monkeypatch.setattr(tr, "stream_eval", counted)
+    tape = ad.Tape()
+    params = m.params.as_leaves(tape) if mode == "tape" else None
+    tr.training_losses(m, states, nexts, derivs, times, 0.05, tr.LossWeights(), params=params)
+    assert sorted(orders) == [1, 1, 1, 2]
+    # 232 nodes when stage 1 recorded its own order-1 stream node (4 nodes)
+    assert len(tape) == (228 if mode == "tape" else 0)
 
 
 @pytest.mark.parametrize("variant", ["fhnn", "no_added_mass", "no_linear_drag", "no_flow_field", "shallow", "relu", "neural_ode"])
@@ -247,6 +278,16 @@ def test_train_zero_lr_single_epoch_is_noop(vortex_dataset):
     assert len(result.log) == 1
     for name, value in before.items():
         assert np.array_equal(m.params[name], value)
+
+
+def test_train_logs_every_epoch(vortex_dataset, caplog):
+    scenario, dataset = vortex_dataset
+    m = md.DynamicsModel.initialize("fhnn", seed=12, body=scenario.body, fluid=scenario.fluid)
+    config = tr.TrainConfig(epochs=2, batch_size=64, base_lr=1e-3, n_val=1, seed=0)
+    with caplog.at_level(logging.INFO, logger="floatdyn.training"):
+        tr.train(m, dataset, config)
+    records = [r for r in caplog.records if r.name == "floatdyn.training"]
+    assert [r.getMessage().split()[:2] for r in records] == [["epoch", "1"], ["epoch", "2"]]
 
 
 def test_train_is_bitwise_deterministic(vortex_dataset, tmp_path):
