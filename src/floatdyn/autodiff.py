@@ -353,32 +353,11 @@ def exp(x):
     return np.exp(x)
 
 
-def log(x):
-    if _is_var(x):
-        a = x.value
-        return x.tape._record(np.log(a), (x.idx,), (lambda g, a=a: g / a,))
-    return np.log(x)
-
-
 def sqrt(x):
     if _is_var(x):
         y = np.sqrt(x.value)
         return x.tape._record(y, (x.idx,), (lambda g, y=y: g / (2.0 * y),))
     return np.sqrt(x)
-
-
-def sin(x):
-    if _is_var(x):
-        a = x.value
-        return x.tape._record(np.sin(a), (x.idx,), (lambda g, a=a: g * np.cos(a),))
-    return np.sin(x)
-
-
-def cos(x):
-    if _is_var(x):
-        a = x.value
-        return x.tape._record(np.cos(a), (x.idx,), (lambda g, a=a: -g * np.sin(a),))
-    return np.cos(x)
 
 
 # -- structural ops ---------------------------------------------------------
@@ -636,14 +615,16 @@ def save_checkpoint(path, params: ParamStore, metadata: Mapping) -> None:
 
 def load_checkpoint(path) -> tuple[ParamStore, dict]:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ConfigurationError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     store = ParamStore()
-    for name in sorted(payload["tensors"]):
-        entry = payload["tensors"][name]
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        store.add(name, arr)
-    return store, payload["metadata"]
+    try:
+        for name in sorted(payload["tensors"]):
+            entry = payload["tensors"][name]
+            store.add(name, np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"]))
+        return store, payload["metadata"]
+    except KeyError as err:
+        raise ConfigurationError(f"checkpoint {path} lacks key {err.args[0]!r}") from None
 
 
 # -- dense layers -------------------------------------------------------------

@@ -15,8 +15,8 @@ off.  ``stream_eval`` pushes psi with its first and second
 input-derivatives through the streamfunction network in one numpy pass
 (Taylor mode).  On the tape that pass is one node with a hand-written
 backward, so the flow, its divergence-free construction and the Hessian
-penalty are all differentiable with respect to the parameters, and at
-first order also with respect to the positions.
+penalty are all differentiable with respect to both the parameters and
+the positions.
 """
 
 from __future__ import annotations
@@ -143,11 +143,7 @@ def init_params(desc: ModelDescriptor) -> ad.ParamStore:
 
 def cap_map(z, caps: Array):
     """Squash raw outputs into (0, C) per coefficient: C*sigmoid(softplus(z)/C)."""
-    return caps * ad.sigmoid(softplus_over(z, caps))
-
-
-def softplus_over(z, caps: Array):
-    return ad.softplus(z) / caps
+    return caps * ad.sigmoid(ad.softplus(z) / caps)
 
 
 def coefficient_net(params: Mapping, features, caps: CapConfig, desc: ModelDescriptor):
@@ -256,8 +252,7 @@ def stream_eval(params: Mapping, x, y, desc: ModelDescriptor, order: int = 2) ->
     node, valued (N, 3) or (N, 6), whose hand-written backward sweeps the
     saved per-layer values in reverse; each field is a column of that
     node, so parameter gradients of any function of (psi, grad, Hess) are
-    available.  Position adjoints are carried at order 1 only: at order 2,
-    Var positions raise :class:`UsageError`.
+    available, and so are position gradients at either order.
     """
     if order not in (1, 2):
         raise ConfigurationError("order must be 1 or 2")
@@ -280,8 +275,6 @@ def stream_eval(params: Mapping, x, y, desc: ModelDescriptor, order: int = 2) ->
         return StreamEval(*[c.reshape(()) for c in cols] if lifted else cols)
 
     pos_is_var = is_var[0] or is_var[1]
-    if pos_is_var and order == 2:
-        raise ad.UsageError("stream_eval carries position adjoints at order 1 only")
     if pos_is_var and any(np.shape(v) != a.shape[:-1] for v in vals[:2]):
         raise ConfigurationError("Var positions need x and y of one shape")
     saves: list = []
@@ -415,18 +408,17 @@ def fhnn_derivative(
     desc: ModelDescriptor,
     caps: CapConfig,
     flow_override=None,
-    tie_added_mass: bool = False,
     jet: StreamEval | None = None,
 ):
-    """Structured state derivative: learned flow + learned capped coefficients
-    fed through the analytic relative-velocity / drag / effective-mass pipeline.
+    """Structured state derivative: the learned flow and the learned capped
+    coefficients fed through :func:`floatdyn.physics.body_acceleration`,
+    the equations of motion the ground truth also uses.
 
     ``flow_override`` substitutes a known flow field for the learned one
-    (plug-in consistency oracles); ``tie_added_mass`` averages the two
-    added masses (isotropic setting, used by equivariance tests only).
-    ``jet``, a ``stream_eval`` of ``params`` at the positions of ``s`` of
-    either order, replaces the learned flow's own order-1 evaluation; it
-    is ignored where the flow is overridden or fixed to zero.
+    (plug-in consistency oracles).  ``jet``, a ``stream_eval`` of
+    ``params`` at the positions of ``s`` of either order, replaces the
+    learned flow's own order-1 evaluation; it is ignored where the flow is
+    overridden or fixed to zero.  The ablations zero their coefficients here.
     """
     x = ad.take_col(s, 0)
     y = ad.take_col(s, 1)
@@ -442,26 +434,16 @@ def fhnn_derivative(
         ev = stream_eval(params, x, y, desc, order=1) if jet is None else jet
         ux, uy = ev.velocity()
 
-    vrx, vry, sigma = ph.relative_velocity(vx, vy, ux, uy, fluid.eps)
-    r = ad.sqrt(x * x + y * y)
-    features = ad.stack_last([r, sigma])
-    coeffs = coefficient_net(params, features, caps, desc)
-    m_ax = ad.take_col(coeffs, 0)
-    m_ay = ad.take_col(coeffs, 1)
-    c_q = ad.take_col(coeffs, 2)
-    c_l = ad.take_col(coeffs, 3)
-    if tie_added_mass:
-        m_ax = m_ay = 0.5 * (m_ax + m_ay)
-    if desc.variant == "no_added_mass":
-        m_ax = m_ay = 0.0
-    if desc.variant == "no_linear_drag":
-        c_l = 0.0
+    def coefficients(r, sigma):
+        coeffs = coefficient_net(params, ad.stack_last([r, sigma]), caps, desc)
+        m_ax, m_ay, c_q, c_l = (ad.take_col(coeffs, j) for j in range(4))
+        if desc.variant == "no_added_mass":
+            m_ax = m_ay = 0.0
+        if desc.variant == "no_linear_drag":
+            c_l = 0.0
+        return m_ax, m_ay, c_q, c_l
 
-    fqx, fqy, flx, fly = ph.drag_forces(vrx, vry, sigma, c_q, c_l, fluid.rho, fluid.area)
-    fext = body.external_force(ph.State(x, y, vx, vy), t)
-    ax, ay = ph.accel_components(
-        fqx + flx + fext.x, fqy + fly + fext.y, body.mass, m_ax, m_ay
-    )
+    ax, ay = ph.body_acceleration(ph.State(x, y, vx, vy), t, ux, uy, coefficients, body, fluid)
     return ad.stack_last([vx, vy, ax, ay])
 
 

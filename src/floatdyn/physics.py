@@ -1,14 +1,15 @@
 """Ground-truth dynamics for a rigid body in a 2-D incompressible flow.
 
 Analytic flow fields (all derived from a scalar streamfunction, so they
-are divergence-free by construction), the hydrodynamic force model
+are divergence-free by construction), the equations of motion
 (anisotropic added mass, quadratic + linear drag on the relative
 velocity), a classical RK4 integrator, the five synthetic scenarios, and
 trajectory dataset generation with exact derivative labels.
 
-The component-level force functions accept plain arrays or autodiff
-``Var`` handles, so the learnable model assembles its dynamics from the
-very same formulas the ground truth uses.
+The equations of motion are one function, :func:`body_acceleration`,
+which accepts plain arrays or autodiff ``Var`` handles: the ground truth
+passes it the true coefficient field and the learnable model its
+coefficient network, so both run the very same formulas.
 """
 
 from __future__ import annotations
@@ -71,11 +72,6 @@ class State:
     vx: object
     vy: object
 
-    @classmethod
-    def from_array(cls, s) -> "State":
-        s = np.asarray(s, dtype=np.float64)
-        return cls(s[..., 0], s[..., 1], s[..., 2], s[..., 3])
-
 
 def zero_force(state: State, t) -> Vec2:
     return Vec2(0.0, 0.0)
@@ -121,23 +117,6 @@ class HydroCoefficients:
 
     def as_tuple(self):
         return (self.m_ax, self.m_ay, self.c_q, self.c_l)
-
-
-@dataclass
-class RelativeKinematics:
-    """Velocity relative to the local flow and the regularized speed."""
-
-    v_rel: Vec2
-    sigma: object
-
-
-@dataclass
-class ForceBreakdown:
-    """Quadratic drag, linear drag and their sum; each opposes v_rel."""
-
-    quadratic: Vec2
-    linear: Vec2
-    total: Vec2
 
 
 # -- flow fields ---------------------------------------------------------------
@@ -308,68 +287,37 @@ class ObstacleFlow(FlowField):
         return self.u_inf * y * (1.0 - self.radius**2 / r2)
 
 
-# -- hydrodynamic forces -------------------------------------------------------
+# -- equations of motion -------------------------------------------------------
 
 
-def relative_velocity(vx, vy, ux, uy, eps):
-    """v_rel = v - u and sigma = ||v_rel|| + eps.  Generic over Var/array."""
-    vrx = vx - ux
-    vry = vy - uy
-    sigma = ad.sqrt(vrx * vrx + vry * vry) + eps
-    return vrx, vry, sigma
+def body_acceleration(state: State, t, ux, uy, coefficients, body: BodyProperties, fluid: FluidProperties):
+    """Acceleration (ax, ay) of the body in a flow of local velocity (ux, uy).
 
-
-def drag_forces(vrx, vry, sigma, c_q, c_l, rho, area):
-    """Quadratic and linear drag components, each opposing v_rel."""
-    q = -0.5 * rho * area * c_q * sigma
+    The one statement of the equations of motion, shared by the ground
+    truth and the learnable model, generic over arrays and Vars.  With
+    v_rel = v - u, sigma = ||v_rel|| + eps and r = ||(x, y)||, the
+    coefficients ``(m_ax, m_ay, c_q, c_l) = coefficients(r, sigma)`` give
+    quadratic plus linear drag, each opposing v_rel; the known external
+    force is added and the total divided by the diagonal effective mass.
+    """
+    vrx = state.vx - ux
+    vry = state.vy - uy
+    sigma = ad.sqrt(vrx * vrx + vry * vry) + fluid.eps
+    r = ad.sqrt(state.x * state.x + state.y * state.y)
+    m_ax, m_ay, c_q, c_l = coefficients(r, sigma)
+    q = -0.5 * fluid.rho * fluid.area * c_q * sigma
     fqx = q * vrx
     fqy = q * vry
     flx = -c_l * vrx
     fly = -c_l * vry
-    return fqx, fqy, flx, fly
-
-
-def accel_components(fx, fy, mass, m_ax, m_ay):
-    """Acceleration from total force via the diagonal effective mass."""
-    mx = mass + m_ax
-    my = mass + m_ay
+    fext = body.external_force(state, t)
+    fx = fqx + flx + fext.x
+    fy = fqy + fly + fext.y
+    mx = body.mass + m_ax
+    my = body.mass + m_ay
     if np.any(_raw(mx) <= 0.0) or np.any(_raw(my) <= 0.0):
         raise PhysicalValidityError("effective mass must be positive in both axes")
     return fx / mx, fy / my
-
-
-def relative_kinematics(state: State, flow: FlowField, t, fluid: FluidProperties) -> RelativeKinematics:
-    u = flow.velocity(state.x, state.y, t)
-    vrx, vry, sigma = relative_velocity(state.vx, state.vy, u.x, u.y, fluid.eps)
-    return RelativeKinematics(v_rel=Vec2(vrx, vry), sigma=sigma)
-
-
-def hydro_forces(kin: RelativeKinematics, coeffs: HydroCoefficients, fluid: FluidProperties) -> ForceBreakdown:
-    fqx, fqy, flx, fly = drag_forces(
-        kin.v_rel.x, kin.v_rel.y, kin.sigma, coeffs.c_q, coeffs.c_l, fluid.rho, fluid.area
-    )
-    return ForceBreakdown(
-        quadratic=Vec2(fqx, fqy),
-        linear=Vec2(flx, fly),
-        total=Vec2(fqx + flx, fqy + fly),
-    )
-
-
-def acceleration(
-    state: State,
-    coeffs: HydroCoefficients,
-    body: BodyProperties,
-    fluid: FluidProperties,
-    flow: FlowField,
-    t,
-) -> Vec2:
-    kin = relative_kinematics(state, flow, t, fluid)
-    forces = hydro_forces(kin, coeffs, fluid)
-    fext = body.external_force(state, t)
-    ax, ay = accel_components(
-        forces.total.x + fext.x, forces.total.y + fext.y, body.mass, coeffs.m_ax, coeffs.m_ay
-    )
-    return Vec2(ax, ay)
 
 
 # -- coefficient fields ---------------------------------------------------------
@@ -539,12 +487,12 @@ class Dataset:
     @classmethod
     def load(cls, jsonl_path, manifest_path=None) -> "Dataset":
         trajectories = []
-        for line in Path(jsonl_path).read_text(encoding="utf-8").splitlines():
+        for lineno, line in enumerate(Path(jsonl_path).read_text(encoding="utf-8").splitlines(), 1):
             if not line.strip():
                 continue
             rec = json.loads(line)
-            trajectories.append(
-                Trajectory(
+            try:
+                trajectory = Trajectory(
                     traj_id=rec["id"],
                     scenario=rec["scenario"],
                     seed=rec["seed"],
@@ -554,7 +502,11 @@ class Dataset:
                     states=rec["states"],
                     derivs=rec["derivs"],
                 )
-            )
+            except KeyError as err:
+                raise ConfigurationError(
+                    f"{jsonl_path} line {lineno}: trajectory record lacks key {err.args[0]!r}"
+                ) from None
+            trajectories.append(trajectory)
         manifest = {}
         if manifest_path is not None and Path(manifest_path).exists():
             manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
@@ -665,12 +617,7 @@ class Scenario:
         def f(s: Array, t) -> Array:
             x, y, vx, vy = s[..., 0], s[..., 1], s[..., 2], s[..., 3]
             u = flow.velocity(x, y, t)
-            vrx, vry, sigma = relative_velocity(vx, vy, u.x, u.y, fluid.eps)
-            r = np.sqrt(x * x + y * y)
-            m_ax, m_ay, c_q, c_l = coeffs.at(r, sigma)
-            fqx, fqy, flx, fly = drag_forces(vrx, vry, sigma, c_q, c_l, fluid.rho, fluid.area)
-            fext = body.external_force(State(x, y, vx, vy), t)
-            ax, ay = accel_components(fqx + flx + fext.x, fqy + fly + fext.y, body.mass, m_ax, m_ay)
+            ax, ay = body_acceleration(State(x, y, vx, vy), t, u.x, u.y, coeffs.at, body, fluid)
             out = np.empty_like(s)
             out[..., 0] = vx
             out[..., 1] = vy

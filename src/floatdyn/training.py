@@ -153,10 +153,12 @@ def loss_smooth(model: DynamicsModel, positions: Array, lambda_flow: float, para
 def _smoothness(model: DynamicsModel, positions: Array, lambda_flow: float, params=None):
     """The order-2 psi jet at ``positions`` and the Hessian penalty built on it.
 
-    Returns (None, 0.0) when the model has no stream network or the
-    penalty has zero weight.
+    Returns (None, 0.0) when the dynamics never read the stream network
+    (``neural_ode``, ``no_flow_field``, a model with ``flow_override``) or
+    the penalty has zero weight.
     """
-    if model.descriptor.variant == "neural_ode" or lambda_flow == 0.0:
+    no_stream = model.descriptor.variant in ("neural_ode", "no_flow_field")
+    if no_stream or model.flow_override is not None or lambda_flow == 0.0:
         return None, 0.0
     p = model.params if params is None else params
     jet = stream_eval(p, positions[:, 0], positions[:, 1], model.descriptor, order=2)

@@ -13,7 +13,7 @@ TANH_2_5 = 0.986614298151430288881276039237
 
 # -- random-graph gradient property -------------------------------------------
 
-UNARY = ["tanh", "sigmoid", "softplus", "exp", "sqrt", "log", "relu", "sin", "cos", "neg", "square"]
+UNARY = ["tanh", "sigmoid", "softplus", "exp", "sqrt", "relu", "neg", "square"]
 BINARY = ["add", "sub", "mul", "div"]
 
 
@@ -53,7 +53,7 @@ def run_program(prog, leaf_values, ops):
                 nodes.append(-x)
             elif name == "square":
                 nodes.append(x * x)
-            elif name in ("sqrt", "log"):
+            elif name == "sqrt":
                 # keep arguments positive: square then offset
                 nodes.append(ops[name](x * x + 0.5))
             elif name == "exp":
@@ -89,8 +89,7 @@ def run_program(prog, leaf_values, ops):
 
 VAR_OPS = {
     "tanh": ad.tanh, "sigmoid": ad.sigmoid, "softplus": ad.softplus, "exp": ad.exp,
-    "sqrt": ad.sqrt, "log": ad.log, "relu": ad.relu, "sin": ad.sin, "cos": ad.cos,
-    "vmean": ad.vmean,
+    "sqrt": ad.sqrt, "relu": ad.relu, "vmean": ad.vmean,
 }
 
 
@@ -400,8 +399,23 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
 
 def test_checkpoint_rejects_foreign_json(tmp_path):
     path = tmp_path / "other.json"
-    path.write_text(json.dumps({"hello": 1}))
-    with pytest.raises(ad.ConfigurationError):
+    for foreign in ({"hello": 1}, [1, 2]):
+        path.write_text(json.dumps(foreign))
+        with pytest.raises(ad.ConfigurationError):
+            ad.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["tensors", "metadata", "data", "shape"])
+def test_checkpoint_missing_key_is_configuration_error(tmp_path, key):
+    path = tmp_path / "ckpt.json"
+    ad.save_checkpoint(path, ad.ParamStore({"w": [1.0, 2.0]}), {"seed": 1})
+    payload = json.loads(path.read_text())
+    if key in ("data", "shape"):
+        del payload["tensors"]["w"][key]
+    else:
+        del payload[key]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ad.ConfigurationError, match=repr(key)):
         ad.load_checkpoint(path)
 
 

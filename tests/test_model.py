@@ -57,10 +57,16 @@ def test_coefficients_identical_under_state_rotation():
         s_rot = np.concatenate([rot @ s[:2], rot @ s[2:]])
 
         def coeffs_of(state):
-            x, y, vx, vy = state
-            u = flow.velocity(x, y, 0.0)
-            vrx, vry, sigma = ph.relative_velocity(vx, vy, u.x, u.y, m.fluid.eps)
-            feats = np.array([[np.hypot(x, y), sigma]])
+            # the (r, sigma) features the equations of motion hand the net
+            seen = []
+
+            def record(r, sigma):
+                seen.append([r, sigma])
+                return 0.0, 0.0, 0.0, 0.0
+
+            u = flow.velocity(state[0], state[1], 0.0)
+            ph.body_acceleration(ph.State(*state), 0.0, u.x, u.y, record, m.body, m.fluid)
+            feats = np.array(seen)
             return np.asarray(md.coefficient_net(m.params, feats, m.caps, m.descriptor))[0]
 
         assert np.allclose(coeffs_of(s), coeffs_of(s_rot), rtol=0.0, atol=1e-12)
@@ -191,17 +197,12 @@ def test_stream_node_vjp_matches_finite_differences(activation, order):
 
     tape = ad.Tape()
     leaves = {name: tape.leaf(v) for name, v in params.items()}
-    if order == 1:
-        leaves["x"], leaves["y"] = tape.leaf(x0), tape.leaf(y0)
-        ev = md.stream_eval(leaves, leaves["x"], leaves["y"], desc, order=1)
-    else:  # order 2 carries parameter adjoints only
-        ev = md.stream_eval(leaves, x0, y0, desc, order=2)
+    leaves["x"], leaves["y"] = tape.leaf(x0), tape.leaf(y0)
+    ev = md.stream_eval(leaves, leaves["x"], leaves["y"], desc, order=order)
     root = sum(ad.vsum(w * c) for w, c in zip(weights, _jet(ev, order)))
     ad.backward(tape, root)
     got = ad.parameter_gradients(tape, leaves)
     want = fd_gradient(f, {**params, "x": x0, "y": y0})
-    if order == 2:
-        del want["x"], want["y"]
     bad = grad_mismatches(got, want, rel_tol=1e-5, abs_floor=1e-9)
     assert not bad, bad
 
@@ -246,17 +247,6 @@ def test_stream_eval_records_one_node_plus_columns(order, limit):
     assert len(tape) - before <= limit
 
 
-def test_stream_eval_order_two_refuses_var_positions():
-    desc = md.make_descriptor("fhnn", seed=1)
-    params = md.init_params(desc)
-    tape = ad.Tape()
-    x = tape.leaf(np.array([0.2, -0.4]))
-    with pytest.raises(ad.UsageError):
-        md.stream_eval(params, x, np.array([1.0, 0.5]), desc, order=2)
-    with pytest.raises(ad.UsageError):
-        md.stream_eval(params.as_leaves(tape), np.array([1.0, 0.5]), x, desc, order=2)
-
-
 # -- structured derivative ----------------------------------------------------------
 
 
@@ -296,15 +286,17 @@ def test_model_drag_opposes_relative_velocity_for_random_params():
     scenario = ph.make_scenario("steady_vortex")
     rng = np.random.default_rng(11)
     for seed in range(5):
-        m = md.DynamicsModel.initialize("fhnn", seed=seed, body=scenario.body, fluid=scenario.fluid)
+        # unit mass and zero added mass: the acceleration is the drag force;
+        # the ablation shares the fhnn parameters of the same seed
+        m = md.DynamicsModel.initialize(
+            "no_added_mass", seed=seed, body=ph.BodyProperties(mass=1.0), fluid=scenario.fluid
+        )
         x, y = rng.uniform(-2, 2, size=2)
         vx, vy = rng.uniform(-1, 1, size=2)
         u = m.flow_velocity(np.array([x]), np.array([y]))
-        vrx, vry, sigma = ph.relative_velocity(vx, vy, np.asarray(u.x)[0], np.asarray(u.y)[0], m.fluid.eps)
-        feats = np.array([[np.hypot(x, y), sigma]])
-        m_ax, m_ay, c_q, c_l = np.asarray(md.coefficient_net(m.params, feats, m.caps, m.descriptor))[0]
-        fqx, fqy, flx, fly = ph.drag_forces(vrx, vry, sigma, c_q, c_l, m.fluid.rho, m.fluid.area)
-        assert (fqx + flx) * vrx + (fqy + fly) * vry <= 1e-12
+        vrx, vry = vx - np.asarray(u.x)[0], vy - np.asarray(u.y)[0]
+        fx, fy = np.asarray(m.derivative(np.array([[x, y, vx, vy]]), 0.0))[0, 2:]
+        assert fx * vrx + fy * vry <= 1e-12
 
 
 def test_ablation_switches_zero_out_the_right_pieces():
@@ -404,19 +396,20 @@ def test_rotation_equivariance_with_tied_masses_and_radial_flow():
     for name in m.params.names():
         if name.startswith("stream."):
             m.params[name] = np.zeros_like(m.params[name])
-
-    def derivative(s, t):
-        return md.fhnn_derivative(
-            s, t, m.params, m.body, m.fluid, m.descriptor, m.caps, tie_added_mass=True
-        )
+    # tied added masses: the coefficient net's m_ax and m_ay outputs share a row
+    last = len(m.descriptor.coeff_widths) - 2
+    for name in (f"coeff.W{last}", f"coeff.b{last}"):
+        tied = m.params[name].copy()
+        tied[1] = tied[0]
+        m.params[name] = tied
 
     phi = 1.1
     c, sn = np.cos(phi), np.sin(phi)
     rot = np.array([[c, -sn], [sn, c]])
     s0 = np.array([1.2, 0.3, -0.1, 0.4])
     s0_rot = np.concatenate([rot @ s0[:2], rot @ s0[2:]])
-    out = md.rollout_model(derivative, s0, 2.0, step=0.01, checkpoints=[0.5, 1.0, 1.5, 2.0])
-    out_rot = md.rollout_model(derivative, s0_rot, 2.0, step=0.01, checkpoints=[0.5, 1.0, 1.5, 2.0])
+    out = md.rollout_model(m.derivative, s0, 2.0, step=0.01, checkpoints=[0.5, 1.0, 1.5, 2.0])
+    out_rot = md.rollout_model(m.derivative, s0_rot, 2.0, step=0.01, checkpoints=[0.5, 1.0, 1.5, 2.0])
     rotated = np.concatenate(
         [out.states[:, :2] @ rot.T, out.states[:, 2:] @ rot.T], axis=1
     )

@@ -21,6 +21,26 @@ class RigidVortex(ph.FlowField):
         return ph.Vec2(-self.omega * np.asarray(y, float), self.omega * np.asarray(x, float))
 
 
+UNIT_BODY = ph.BodyProperties(mass=1.0)
+LINEAR_ONLY = (0.0, 0.0, 0.0, 1.0)  # unit mass, unit linear drag: a = -v_rel
+
+
+def accel_and_sigma(state, flow, fluid, coeffs, body=UNIT_BODY):
+    """body_acceleration at t = 0 for constant coefficients, and the sigma it saw.
+
+    With unit mass and zero added mass the acceleration is the force itself.
+    """
+    seen = []
+
+    def coefficients(r, sigma):
+        seen.append(sigma)
+        return coeffs
+
+    u = flow.velocity(state.x, state.y, 0.0)
+    ax, ay = ph.body_acceleration(state, 0.0, u.x, u.y, coefficients, body, fluid)
+    return ax, ay, seen[0]
+
+
 # -- relative kinematics -------------------------------------------------------
 
 
@@ -29,25 +49,25 @@ def test_comoving_body_has_zero_relative_velocity():
     flow = RigidVortex(omega=2.0)
     u = flow.velocity(1.0, 0.5, 0.0)
     state = ph.State(1.0, 0.5, u.x, u.y)
-    kin = ph.relative_kinematics(state, flow, 0.0, fluid)
-    assert kin.v_rel.x == 0.0 and kin.v_rel.y == 0.0
-    assert kin.sigma == fluid.eps
+    ax, ay, sigma = accel_and_sigma(state, flow, fluid, LINEAR_ONLY)
+    assert -ax == 0.0 and -ay == 0.0
+    assert sigma == fluid.eps
 
 
 def test_pythagorean_relative_speed_in_still_fluid():
     fluid = ph.FluidProperties(eps=1e-6)
     state = ph.State(0.0, 0.0, 3.0, 4.0)
-    kin = ph.relative_kinematics(state, ph.ZeroFlow(), 0.0, fluid)
-    assert kin.sigma == pytest.approx(5.0 + 1e-6, abs=1e-15)
+    _, _, sigma = accel_and_sigma(state, ph.ZeroFlow(), fluid, LINEAR_ONLY)
+    assert sigma == pytest.approx(5.0 + 1e-6, abs=1e-15)
 
 
 def test_rigid_vortex_relative_velocity_at_unit_point():
     fluid = ph.FluidProperties(eps=1e-6)
     state = ph.State(1.0, 0.0, 0.0, 0.0)
-    kin = ph.relative_kinematics(state, RigidVortex(omega=1.0), 0.0, fluid)
-    assert kin.v_rel.x == pytest.approx(0.0, abs=0.0)
-    assert kin.v_rel.y == pytest.approx(-1.0, abs=0.0)
-    assert kin.sigma == pytest.approx(1.0 + 1e-6, abs=1e-15)
+    ax, ay, sigma = accel_and_sigma(state, RigidVortex(omega=1.0), fluid, LINEAR_ONLY)
+    assert -ax == pytest.approx(0.0, abs=0.0)
+    assert -ay == pytest.approx(-1.0, abs=0.0)
+    assert sigma == pytest.approx(1.0 + 1e-6, abs=1e-15)
 
 
 # -- forces ---------------------------------------------------------------------
@@ -55,27 +75,29 @@ def test_rigid_vortex_relative_velocity_at_unit_point():
 
 def test_zero_relative_velocity_gives_zero_forces():
     fluid = ph.FluidProperties()
-    kin = ph.RelativeKinematics(v_rel=ph.Vec2(0.0, 0.0), sigma=fluid.eps)
-    forces = ph.hydro_forces(kin, ph.HydroCoefficients(36.0, 42.0, 1.2, 6.0), fluid)
-    assert forces.total.x == 0.0 and forces.total.y == 0.0
-    assert forces.quadratic.x == 0.0 and forces.linear.y == 0.0
+    state = ph.State(0.0, 0.0, 0.0, 0.0)
+    ax, ay, _ = accel_and_sigma(state, ph.ZeroFlow(), fluid, (36.0, 42.0, 1.2, 6.0))
+    assert ax == 0.0 and ay == 0.0
+    quadratic_x, _, _ = accel_and_sigma(state, ph.ZeroFlow(), fluid, (0.0, 0.0, 1.2, 0.0))
+    _, linear_y, _ = accel_and_sigma(state, ph.ZeroFlow(), fluid, (0.0, 0.0, 0.0, 6.0))
+    assert quadratic_x == 0.0 and linear_y == 0.0
 
 
 def test_quadratic_drag_hand_value():
-    fluid = ph.FluidProperties(rho=1000.0, area=0.1)
-    kin = ph.RelativeKinematics(v_rel=ph.Vec2(1.0, 0.0), sigma=1.0)  # eps -> 0 case
-    forces = ph.hydro_forces(kin, ph.HydroCoefficients(0.0, 0.0, 1.0, 0.0), fluid)
-    assert forces.quadratic.x == pytest.approx(-50.0, abs=0.0)
-    assert forces.quadratic.y == 0.0
-    assert forces.total.x == pytest.approx(-50.0, abs=0.0)
+    fluid = ph.FluidProperties(rho=1000.0, area=0.1, eps=1e-300)  # sigma = 1: the eps -> 0 case
+    state = ph.State(0.0, 0.0, 1.0, 0.0)
+    ax, ay, sigma = accel_and_sigma(state, ph.ZeroFlow(), fluid, (0.0, 0.0, 1.0, 0.0))
+    assert sigma == 1.0
+    assert ax == pytest.approx(-50.0, abs=0.0)
+    assert ay == 0.0
 
 
 def test_linear_drag_hand_value():
     fluid = ph.FluidProperties()
-    kin = ph.RelativeKinematics(v_rel=ph.Vec2(0.0, -1.0), sigma=1.0 + fluid.eps)
-    forces = ph.hydro_forces(kin, ph.HydroCoefficients(0.0, 0.0, 0.0, 2.0), fluid)
-    assert forces.total.x == 0.0
-    assert forces.total.y == pytest.approx(2.0, abs=0.0)
+    state = ph.State(0.0, 0.0, 0.0, -1.0)
+    ax, ay, _ = accel_and_sigma(state, ph.ZeroFlow(), fluid, (0.0, 0.0, 0.0, 2.0))
+    assert ax == 0.0
+    assert ay == pytest.approx(2.0, abs=0.0)
 
 
 def test_dissipativity_on_random_states():
@@ -83,13 +105,14 @@ def test_dissipativity_on_random_states():
     fluid = ph.FluidProperties()
     for _ in range(200):
         vr = rng.normal(size=2) * rng.uniform(0.0, 3.0)
-        sigma = np.hypot(*vr) + fluid.eps
-        kin = ph.RelativeKinematics(v_rel=ph.Vec2(vr[0], vr[1]), sigma=sigma)
-        coeffs = ph.HydroCoefficients(*rng.uniform(0.0, [60.0, 60.0, 2.0, 10.0]))
-        forces = ph.hydro_forces(kin, coeffs, fluid)
-        assert forces.quadratic.x * vr[0] + forces.quadratic.y * vr[1] <= 0.0
-        assert forces.linear.x * vr[0] + forces.linear.y * vr[1] <= 0.0
-        assert forces.total.x * vr[0] + forces.total.y * vr[1] <= 1e-12
+        state = ph.State(0.0, 0.0, vr[0], vr[1])
+        _, _, c_q, c_l = rng.uniform(0.0, [60.0, 60.0, 2.0, 10.0])
+        quadratic = accel_and_sigma(state, ph.ZeroFlow(), fluid, (0.0, 0.0, c_q, 0.0))
+        linear = accel_and_sigma(state, ph.ZeroFlow(), fluid, (0.0, 0.0, 0.0, c_l))
+        total = accel_and_sigma(state, ph.ZeroFlow(), fluid, (0.0, 0.0, c_q, c_l))
+        assert quadratic[0] * vr[0] + quadratic[1] * vr[1] <= 0.0
+        assert linear[0] * vr[0] + linear[1] * vr[1] <= 0.0
+        assert total[0] * vr[0] + total[1] * vr[1] <= 1e-12
 
 
 # -- acceleration ----------------------------------------------------------------
@@ -98,20 +121,23 @@ def test_dissipativity_on_random_states():
 def test_force_free_body_does_not_accelerate():
     body = ph.BodyProperties(mass=10.0)
     fluid = ph.FluidProperties()
-    coeffs = ph.HydroCoefficients(36.0, 42.0, 1.2, 6.0)
-    a = ph.acceleration(ph.State(1.0, 2.0, 0.0, 0.0), coeffs, body, fluid, ph.ZeroFlow(), 0.0)
-    assert a.x == 0.0 and a.y == 0.0
+    state = ph.State(1.0, 2.0, 0.0, 0.0)
+    ax, ay, _ = accel_and_sigma(state, ph.ZeroFlow(), fluid, (36.0, 42.0, 1.2, 6.0), body)
+    assert ax == 0.0 and ay == 0.0
 
 
 def test_diagonal_effective_mass_inverse():
-    ax, ay = ph.accel_components(10.0, 0.0, mass=1.0, m_ax=1.0, m_ay=0.0)
+    body = ph.BodyProperties(mass=1.0, external_force=lambda state, t: ph.Vec2(10.0, 0.0))
+    state = ph.State(0.0, 0.0, 0.0, 0.0)
+    ax, ay, _ = accel_and_sigma(state, ph.ZeroFlow(), ph.FluidProperties(), (1.0, 0.0, 0.0, 0.0), body)
     assert ax == pytest.approx(5.0, abs=0.0)
     assert ay == 0.0
 
 
 def test_nonpositive_effective_mass_rejected():
+    state = ph.State(0.0, 0.0, 1.0, 1.0)
     with pytest.raises(ph.PhysicalValidityError):
-        ph.accel_components(1.0, 1.0, mass=1.0, m_ax=-2.0, m_ay=0.0)
+        accel_and_sigma(state, ph.ZeroFlow(), ph.FluidProperties(), (-2.0, 0.0, 0.0, 0.0))
 
 
 def test_acceleration_matches_dense_rollout_finite_difference():
@@ -121,30 +147,50 @@ def test_acceleration_matches_dense_rollout_finite_difference():
     h = 1e-4
     _, samples = ph.integrate(f, s, 0.0, 2 * h, h)
     fd_acc = (samples[2, 2:] - samples[0, 2:]) / (2 * h)
-    mid = ph.State.from_array(samples[1])
-    a = ph.acceleration(mid, scenario.coeffs.values, scenario.body, scenario.fluid, scenario.flow, h)
-    assert abs(a.x - fd_acc[0]) < 1e-6
-    assert abs(a.y - fd_acc[1]) < 1e-6
+    mid = ph.State(*samples[1])
+    u = scenario.flow.velocity(mid.x, mid.y, h)
+    ax, ay = ph.body_acceleration(mid, h, u.x, u.y, scenario.coeffs.at, scenario.body, scenario.fluid)
+    assert abs(ax - fd_acc[0]) < 1e-6
+    assert abs(ay - fd_acc[1]) < 1e-6
 
 
 def test_rotating_frame_commutes_for_isotropic_added_mass():
     scenario = ph.make_scenario("steady_vortex", {"m_ax": 30.0, "m_ay": 30.0})
-    coeffs = scenario.coeffs.values
+    f = scenario.derivative_fn()
     rng = np.random.default_rng(4)
     for _ in range(20):
         s = rng.uniform(-2.0, 2.0, size=4)
         phi = rng.uniform(0.0, 2 * np.pi)
         c, sn = np.cos(phi), np.sin(phi)
         rot = np.array([[c, -sn], [sn, c]])
-        a = ph.acceleration(
-            ph.State(*s), coeffs, scenario.body, scenario.fluid, scenario.flow, 0.0
-        )
+        a = f(s, 0.0)[2:]
         s_rot = np.concatenate([rot @ s[:2], rot @ s[2:]])
-        a_rot = ph.acceleration(
-            ph.State(*s_rot), coeffs, scenario.body, scenario.fluid, scenario.flow, 0.0
-        )
-        want = rot @ np.array([a.x, a.y])
-        assert np.allclose([a_rot.x, a_rot.y], want, atol=1e-12)
+        a_rot = f(s_rot, 0.0)[2:]
+        want = rot @ a
+        assert np.allclose(a_rot, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [0.84, 1.7])
+def test_coefficient_gauge_is_invisible_without_a_known_force(k):
+    # scaling c_q, c_l and both effective masses by one k leaves every
+    # force-free acceleration unchanged; a known external force breaks it
+    s = np.random.default_rng(21).uniform(-2.0, 2.0, size=(24, 4))
+    for kind in ph.SCENARIO_KINDS:
+        p = ph.make_scenario(kind).params
+        mass = p["mass"]
+        scaled = {
+            "c_q": k * p["c_q"],
+            "c_l": k * p["c_l"],
+            "m_ax": k * (mass + p["m_ax"]) - mass,
+            "m_ay": k * (mass + p["m_ay"]) - mass,
+        }
+        a = ph.make_scenario(kind).derivative_fn()(s, 0.7)[:, 2:]
+        b = ph.make_scenario(kind, scaled).derivative_fn()(s, 0.7)[:, 2:]
+        rel = np.max(np.abs(a - b)) / np.max(np.abs(a))
+        if kind == "morison_wave":
+            assert rel > 1e-3, kind
+        else:
+            assert rel <= 1e-12, (kind, rel)
 
 
 # -- integrators -----------------------------------------------------------------
@@ -462,3 +508,14 @@ def test_dataset_jsonl_roundtrip(tmp_path):
     rebuilt = ph.scenario_from_manifest(back.manifest)
     assert rebuilt.kind == "steady_vortex"
     assert rebuilt.coeffs.describe() == scenario.coeffs.describe()
+
+
+def test_dataset_load_names_a_missing_key_and_its_line(tmp_path):
+    scenario = ph.make_scenario("steady_vortex")
+    ph.generate_dataset(scenario, 1, 1, duration=0.5, dt_sample=0.05, seed=4).save(tmp_path / "data.jsonl")
+    lines = (tmp_path / "data.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    del record["dt"]
+    (tmp_path / "data.jsonl").write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
+    with pytest.raises(ConfigurationError, match="line 2: .*'dt'"):
+        ph.Dataset.load(tmp_path / "data.jsonl")

@@ -171,12 +171,22 @@ def test_training_losses_total_is_weighted_sum(vortex_dataset, flow):
     assert parts.l_smooth == float(tr.loss_smooth(m, states[:, :2], weights.lambda_flow))
 
 
-@pytest.mark.parametrize("mode", ["numpy", "tape"])
-def test_training_losses_shares_one_order_two_stream_jet(vortex_dataset, monkeypatch, mode):
+SHARED_JET_CASES = [(f, m) for f in ("learned", "flow_override", "no_flow_field") for m in ("numpy", "tape")]
+
+
+@pytest.mark.parametrize(
+    "flow, mode", SHARED_JET_CASES, ids=[m if f == "learned" else f"{f}-{m}" for f, m in SHARED_JET_CASES]
+)
+def test_training_losses_shares_one_order_two_stream_jet(vortex_dataset, monkeypatch, mode, flow):
     # RK4 stage 1 reads the smoothness term's jet: one order-2 call, and
-    # order 1 only for stages 2-4
+    # order 1 only for stages 2-4; dynamics that never read the stream
+    # network evaluate it not at all
     scenario, dataset = vortex_dataset
-    m = md.DynamicsModel.initialize("fhnn", seed=7, body=scenario.body, fluid=scenario.fluid)
+    variant = "no_flow_field" if flow == "no_flow_field" else "fhnn"
+    override = scenario.flow if flow == "flow_override" else None
+    m = md.DynamicsModel.initialize(
+        variant, seed=7, body=scenario.body, fluid=scenario.fluid, flow_override=override
+    )
     states, nexts, derivs, times = _batch(dataset)
     orders = []
     stream_eval = md.stream_eval
@@ -189,7 +199,14 @@ def test_training_losses_shares_one_order_two_stream_jet(vortex_dataset, monkeyp
     monkeypatch.setattr(tr, "stream_eval", counted)
     tape = ad.Tape()
     params = m.params.as_leaves(tape) if mode == "tape" else None
-    tr.training_losses(m, states, nexts, derivs, times, 0.05, tr.LossWeights(), params=params)
+    total, _ = tr.training_losses(m, states, nexts, derivs, times, 0.05, tr.LossWeights(), params=params)
+    if flow != "learned":
+        assert orders == []
+        if mode == "tape":
+            ad.backward(tape, total)
+            grads = ad.parameter_gradients(tape, params)
+            assert all(np.all(g == 0.0) for name, g in grads.items() if name.startswith("stream."))
+        return
     assert sorted(orders) == [1, 1, 1, 2]
     # 232 nodes when stage 1 recorded its own order-1 stream node (4 nodes)
     assert len(tape) == (228 if mode == "tape" else 0)
