@@ -2,12 +2,16 @@
 
 A :class:`Tape` records every operation applied to :class:`Var` handles;
 :func:`backward` replays the record once in reverse to accumulate exact
-adjoints.  Dense-layer primitives (:func:`forward_mlp`) and the Adam
-optimizer live here too, so the rest of the package can differentiate any
-scalar loss with respect to all network parameters without an external ML
-framework.
+adjoints.  The Adam optimizer lives here too, and so does the one dense
+network: :func:`mlp_jet` pushes its value and, in Taylor mode, its first
+and second input-derivatives over d inputs through it in numpy, and
+:func:`mlp_jet_vjp` is its reverse sweep.  :func:`forward_mlp` is order 0
+of that jet and ``model.stream_eval`` order 1 or 2 at d = 2; on the tape
+each is one node.  So the rest of the package can differentiate any
+scalar loss with respect to all network parameters without an external
+ML framework.
 
-The math functions in this module (``tanh``, ``sqrt``, ``matmul``, ...)
+The math functions in this module (``tanh``, ``sqrt``, ``exp``, ...)
 dispatch on their argument: ``Var`` inputs are recorded on the tape, plain
 arrays and floats fall through to numpy.  Formulas written against them
 therefore run both in recording mode (training) and in raw numpy mode
@@ -245,12 +249,6 @@ class Var:
             out, (self.idx,), (lambda g, a=a, p=p: g * p * a ** (p - 1.0),)
         )
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
 
 def _is_var(x) -> bool:
     return isinstance(x, Var)
@@ -361,48 +359,6 @@ def sqrt(x):
 
 
 # -- structural ops ---------------------------------------------------------
-
-
-def matmul(a, b):
-    """Matrix product for 1-D/2-D operands (no batched >2-D support)."""
-    if not (_is_var(a) or _is_var(b)):
-        return np.matmul(a, b)
-    tape = a.tape if _is_var(a) else b.tape
-    av = a.value if _is_var(a) else _const(a)
-    bv = b.value if _is_var(b) else _const(b)
-    if av.ndim not in (1, 2) or bv.ndim not in (1, 2):
-        raise ConfigurationError(
-            f"matmul supports 1-D/2-D operands, got {av.ndim}-D @ {bv.ndim}-D"
-        )
-    out = np.matmul(av, bv)
-
-    def grad_a(g):
-        if av.ndim == 2 and bv.ndim == 2:
-            return np.matmul(g, bv.T)
-        if av.ndim == 2 and bv.ndim == 1:
-            return np.outer(g, bv)
-        if av.ndim == 1 and bv.ndim == 2:
-            return np.matmul(bv, g)
-        return g * bv
-
-    def grad_b(g):
-        if av.ndim == 2 and bv.ndim == 2:
-            return np.matmul(av.T, g)
-        if av.ndim == 2 and bv.ndim == 1:
-            return np.matmul(av.T, g)
-        if av.ndim == 1 and bv.ndim == 2:
-            return np.outer(av, g)
-        return g * av
-
-    parents = []
-    vjps = []
-    if _is_var(a):
-        parents.append(a.idx)
-        vjps.append(grad_a)
-    if _is_var(b):
-        parents.append(b.idx)
-        vjps.append(grad_b)
-    return tape._record(out, tuple(parents), tuple(vjps))
 
 
 def vsum(x):
@@ -629,19 +585,116 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
 
 # -- dense layers -------------------------------------------------------------
 
-_ACT_FNS = {"tanh": tanh, "relu": relu, "softplus": softplus}
+
+def _pairs(d: int) -> list[tuple[int, int]]:
+    """Input pairs i <= j in row-major order: the second-order channels."""
+    return [(i, j) for i in range(d) for j in range(i, d)]
+
+
+def _sum(terms: list):
+    """Sum left to right from the first term (no 0 start, so -0.0 stays -0.0)."""
+    return sum(terms[1:], terms[0])
+
+
+def mlp_jet(
+    weights: Sequence[Array], biases: Sequence[Array], a: Array, activation: str, order: int = 0, saves=None
+) -> list:
+    """Push the Taylor jet of a dense network at (N, d) inputs ``a``, in numpy.
+
+    Weights are (out, in) and the activation runs between layers but not
+    after the last.  Returns the output channels as (N, out) arrays: the
+    value; at order >= 1 one first derivative per input; at order 2 one
+    second derivative per input pair i <= j, in row-major order.  Affine
+    layers map every channel through W (only the value gets the bias) and
+    activations apply the chain rule with phi' and phi''.  The first
+    layer's first-derivative channels are W0's columns and its
+    second-order channels are the scalar 0.
+
+    If ``saves`` is a list, each activation appends what
+    :func:`mlp_jet_vjp` reads: its input's derivative channels, the base
+    from :func:`activation_value_and_base` and its output channels.
+    """
+    w = weights[0]
+    d = a.shape[1]
+    z = [a @ w.T + biases[0]]
+    if order >= 1:
+        z += [w[:, k] for k in range(d)]
+    if order == 2:
+        pairs = _pairs(d)
+        z += [0.0] * len(pairs)
+    for i in range(1, len(weights)):
+        phi, base = activation_value_and_base(activation, z[0])
+        h = [phi]
+        if order >= 1:
+            d1, d2, _ = activation_derivatives(activation, base, order)
+            zt = z[1 : d + 1]
+            h += [d1 * c for c in zt]
+            if order == 2 and d2 is None:  # relu: phi'' = 0 almost everywhere
+                h += [d1 * c for c in z[d + 1 :]]
+            elif order == 2:
+                h += [d2 * (zt[p] * zt[q]) + d1 * c for (p, q), c in zip(pairs, z[d + 1 :])]
+        if saves is not None:
+            saves.append((z[1:], base, h))
+        wt = weights[i].T
+        z = [h[0] @ wt + biases[i]] + [c @ wt for c in h[1:]]
+    if len(weights) == 1:  # no hidden layer: derivative channels are constants
+        z[1:] = [np.broadcast_to(c, z[0].shape) for c in z[1:]]
+    return z
+
+
+def mlp_jet_vjp(zbar: list, weights: Sequence[Array], a: Array, saves: list, activation: str, order: int):
+    """Reverse sweep of :func:`mlp_jet`: (weight adjoints, bias adjoints, adjoint of ``a``).
+
+    ``zbar`` holds one adjoint per output channel and ``saves`` what the
+    forward pass saved.  Each activation recomputes phi' to phi''' up to
+    order + 1 from its base; relu's vanish beyond phi'.
+    """
+    d = a.shape[1]
+    pairs = _pairs(d) if order == 2 else []
+    w_grads: list = [None] * len(weights)
+    b_grads: list = [None] * len(weights)
+    for i in range(len(weights) - 1, 0, -1):
+        zd, base, h = saves[i - 1]
+        w_grads[i] = _sum([zb.T @ c for zb, c in zip(zbar, h)])
+        b_grads[i] = zbar[0].sum(axis=0)
+        hbar = [zb @ weights[i] for zb in zbar]
+        d1, d2, d3 = activation_derivatives(activation, base, order + 1)
+        zbar = [c * d1 for c in hbar]
+        if order == 0 or d2 is None:
+            continue
+        zt, tbar, sbar = zd[:d], hbar[1 : d + 1], hbar[d + 1 :]
+        first = _sum([tb * c for tb, c in zip(tbar, zt)])
+        if order == 1:
+            zbar[0] += first * d2
+            continue
+        zbar[0] += d2 * _sum([first] + [sb * c for sb, c in zip(sbar, zd[d:])])
+        zbar[0] += d3 * _sum([sb * (zt[p] * zt[q]) for (p, q), sb in zip(pairs, sbar)])
+        for k in range(d):
+            terms = [
+                2.0 * sb * zt[k] if p == q else sb * zt[q if p == k else p]
+                for (p, q), sb in zip(pairs, sbar)
+                if k in (p, q)
+            ]
+            zbar[1 + k] += d2 * _sum(terms)
+    # the first layer's inputs: a, unit vectors for the first derivatives
+    # and zero second-order channels
+    w_grads[0] = zbar[0].T @ a
+    for k in range(d if order else 0):
+        w_grads[0][:, k] += zbar[1 + k].sum(axis=0)
+    b_grads[0] = zbar[0].sum(axis=0)
+    return w_grads, b_grads, zbar[0] @ weights[0]
 
 
 def forward_mlp(params: Mapping, x, layer_widths: Sequence[int], activation: str, prefix: str = ""):
     """Run a dense network ``layer_widths[0] -> ... -> layer_widths[-1]``.
 
     Weights are looked up as ``{prefix}W{i}`` with shape (out, in) and
-    biases as ``{prefix}b{i}``; the activation is applied between layers
-    but not after the last.  Works on the tape (Var params/input) and on
+    biases as ``{prefix}b{i}``.  This is order 0 of :func:`mlp_jet`, on
+    (N, in) or (in,) inputs.  Works on the tape (Var params/input) and on
     plain arrays alike; in tape mode the whole network is one coarse node
-    with a hand-written backward, which keeps training fast.
+    whose backward is :func:`mlp_jet_vjp`, which keeps training fast.
     """
-    if activation not in _ACT_FNS:
+    if activation not in ACTIVATIONS:
         raise ConfigurationError(f"unknown activation: {activation!r}")
     n_layers = len(layer_widths) - 1
     if n_layers < 1:
@@ -653,79 +706,38 @@ def forward_mlp(params: Mapping, x, layer_widths: Sequence[int], activation: str
         raise ConfigurationError(
             f"input width {xv.shape[-1]} != expected {layer_widths[0]}"
         )
-    weights, biases = [], []
+    weights = [params[f"{prefix}W{i}"] for i in range(n_layers)]
+    biases = [params[f"{prefix}b{i}"] for i in range(n_layers)]
+    w_vals = [w.value if _is_var(w) else _const(w) for w in weights]
+    b_vals = [b.value if _is_var(b) else _const(b) for b in biases]
     for i in range(n_layers):
-        w = params[f"{prefix}W{i}"]
-        b = params[f"{prefix}b{i}"]
-        wv = w.value if _is_var(w) else _const(w)
-        bv = b.value if _is_var(b) else _const(b)
         expected = (layer_widths[i + 1], layer_widths[i])
-        if wv.shape != expected:
+        if w_vals[i].shape != expected:
             raise ConfigurationError(
-                f"{prefix}W{i} has shape {wv.shape}, expected {expected}"
+                f"{prefix}W{i} has shape {w_vals[i].shape}, expected {expected}"
             )
-        if bv.shape != (layer_widths[i + 1],):
+        if b_vals[i].shape != (layer_widths[i + 1],):
             raise ConfigurationError(
-                f"{prefix}b{i} has shape {bv.shape}, expected {(layer_widths[i + 1],)}"
+                f"{prefix}b{i} has shape {b_vals[i].shape}, expected {(layer_widths[i + 1],)}"
             )
-        weights.append(w)
-        biases.append(b)
-
-    tape = None
-    for cand in (x, *weights, *biases):
-        if _is_var(cand):
-            tape = cand.tape
-            break
+    inputs = [x, *weights, *biases]
+    is_var = [_is_var(v) for v in inputs]
 
     lifted = xv.ndim == 1
     h = xv[None, :] if lifted else xv
-    w_vals = [w.value if _is_var(w) else _const(w) for w in weights]
-    b_vals = [b.value if _is_var(b) else _const(b) for b in biases]
-
-    if tape is None:
-        for i in range(n_layers):
-            z = h @ w_vals[i].T + b_vals[i]
-            h = activation_value_and_base(activation, z)[0] if i < n_layers - 1 else z
-        return h[0] if lifted else h
-
-    saves = []  # (layer input, activation base) per layer
-    for i in range(n_layers):
-        z = h @ w_vals[i].T + b_vals[i]
-        if i < n_layers - 1:
-            out, base = activation_value_and_base(activation, z)
-        else:
-            out, base = z, None
-        saves.append((h, base))
-        h = out
-
-    parents = [v for v in (x, *weights, *biases) if _is_var(v)]
-    x_is_var = _is_var(x)
-    w_is_var = [_is_var(w) for w in weights]
-    b_is_var = [_is_var(b) for b in biases]
+    saves = [] if any(is_var) else None
+    out = mlp_jet(w_vals, b_vals, h, activation, 0, saves)[0]
+    if saves is None:
+        return out[0] if lifted else out
 
     def multi_vjp(g: Array) -> list[Array]:
         gb = g[None, :] if lifted else g
-        w_grads: list[Array | None] = [None] * n_layers
-        b_grads: list[Array | None] = [None] * n_layers
-        hbar = gb
-        for i in range(n_layers - 1, -1, -1):
-            a_in, base = saves[i]
-            if base is None:
-                zbar = hbar
-            else:
-                zbar = hbar * activation_derivatives(activation, base, order=1)[0]
-            w_grads[i] = zbar.T @ a_in
-            b_grads[i] = zbar.sum(axis=0)
-            hbar = zbar @ w_vals[i]
-        xbar = hbar[0] if lifted else hbar
-        out = []
-        if x_is_var:
-            out.append(xbar)
-        out.extend(w_grads[i] for i in range(n_layers) if w_is_var[i])
-        out.extend(b_grads[i] for i in range(n_layers) if b_is_var[i])
-        return out
+        w_grads, b_grads, xbar = mlp_jet_vjp([gb], w_vals, h, saves, activation, 0)
+        grads = [xbar[0] if lifted else xbar, *w_grads, *b_grads]
+        return [gr for gr, var in zip(grads, is_var) if var]
 
-    return custom_node(tape, h[0] if lifted else h, parents, multi_vjp)
+    parents = [v for v, var in zip(inputs, is_var) if var]
+    return custom_node(parents[0].tape, out[0] if lifted else out, parents, multi_vjp)
 
 
 def init_mlp_params(

@@ -11,12 +11,13 @@ Two families share one state-derivative contract f(s, t):
   raw state.
 
 Ablation variants reuse the structured assembly with pieces switched
-off.  ``stream_eval`` pushes psi with its first and second
-input-derivatives through the streamfunction network in one numpy pass
-(Taylor mode).  On the tape that pass is one node with a hand-written
-backward, so the flow, its divergence-free construction and the Hessian
-penalty are all differentiable with respect to both the parameters and
-the positions.
+off.  All three networks are the one dense network of
+:mod:`floatdyn.autodiff`.  ``stream_eval`` pushes psi with its first and
+second input-derivatives through the streamfunction network in one numpy
+pass (``autodiff.mlp_jet``, Taylor mode at d = 2 inputs).  On the tape
+that pass is one node whose backward is ``autodiff.mlp_jet_vjp``, so the
+flow, its divergence-free construction and the Hessian penalty are all
+differentiable with respect to both the parameters and the positions.
 """
 
 from __future__ import annotations
@@ -42,11 +43,7 @@ VARIANTS = (
     "relu",
 )
 
-STRUCTURED_VARIANTS = tuple(v for v in VARIANTS if v != "neural_ode")
-
 DIVERGENCE_LIMIT = 1e6  # any rollout component beyond this is flagged diverged
-
-COEFF_NAMES = ("m_ax", "m_ay", "c_q", "c_l")
 
 
 @dataclass(frozen=True)
@@ -174,85 +171,17 @@ class StreamEval:
         return self.hxx * self.hxx + 2.0 * (self.hxy * self.hxy) + self.hyy * self.hyy
 
 
-def _stream_jet(weights, biases, a, activation: str, order: int, saves=None) -> list:
-    """Push the jet of psi through the stream MLP in numpy, layer by layer.
-
-    ``a`` holds (N, 2) positions.  Each layer carries the channels
-    (value, d/dx, d/dy) and, at order 2, (d2/dx2, d2/dxdy, d2/dy2) as
-    (N, width) arrays: affine layers map every channel through W (only the
-    value gets the bias), and activations apply the chain rule with phi'
-    and phi''.  The first layer's d/dx and d/dy channels are W0's columns,
-    and its second-order channels are zero.  Returns the output columns
-    (psi, gx, gy[, hxx, hxy, hyy]).
-
-    If ``saves`` is a list, one more activation derivative is computed and
-    each activation appends what the reverse sweep reads: the
-    pre-activation derivative channels, phi', phi'', phi''' and its output
-    channels.
-    """
-    w = weights[0]
-    z = [a @ w.T + biases[0], w[:, 0], w[:, 1]]
-    if order == 2:
-        z += [0.0, 0.0, 0.0]
-    deriv_order = order + 1 if saves is not None else order
-    for i in range(1, len(weights)):
-        phi, base = ad.activation_value_and_base(activation, z[0])
-        d1, d2, d3 = ad.activation_derivatives(activation, base, deriv_order)
-        zx, zy = z[1], z[2]
-        h = [phi, d1 * zx, d1 * zy]
-        if order == 2:
-            zxx, zxy, zyy = z[3:]
-            if d2 is None:  # relu: phi'' = 0 almost everywhere
-                h += [d1 * zxx, d1 * zxy, d1 * zyy]
-            else:
-                h += [
-                    d2 * (zx * zx) + d1 * zxx,
-                    d2 * (zx * zy) + d1 * zxy,
-                    d2 * (zy * zy) + d1 * zyy,
-                ]
-        if saves is not None:
-            saves.append((z[1:], d1, d2, d3, h))
-        wt = weights[i].T
-        z = [h[0] @ wt + biases[i]] + [c @ wt for c in h[1:]]
-    if len(weights) == 1:  # no hidden layer: derivative channels are constants
-        z = [np.broadcast_to(c, z[0].shape) for c in z]
-    return [c[:, 0] for c in z]
-
-
-def _activation_vjp(hbar: list, zd: list, d1, d2, d3) -> list:
-    """Adjoints of an activation's input channels from its output adjoints.
-
-    ``zd`` holds the input's derivative channels; ``d2`` and ``d3`` are
-    None where phi'' and phi''' vanish (relu).
-    """
-    vbar, xbar, ybar = hbar[:3]
-    zx, zy = zd[:2]
-    out = [vbar * d1, xbar * d1, ybar * d1]
-    if len(hbar) == 3:
-        if d2 is not None:
-            out[0] += (xbar * zx + ybar * zy) * d2
-        return out
-    xxbar, xybar, yybar = hbar[3:]
-    zxx, zxy, zyy = zd[2:]
-    out += [xxbar * d1, xybar * d1, yybar * d1]
-    if d2 is not None:
-        out[0] += d2 * (xbar * zx + ybar * zy + xxbar * zxx + xybar * zxy + yybar * zyy)
-        out[0] += d3 * (xxbar * (zx * zx) + xybar * (zx * zy) + yybar * (zy * zy))
-        out[1] += d2 * (2.0 * xxbar * zx + xybar * zy)
-        out[2] += d2 * (xybar * zx + 2.0 * yybar * zy)
-    return out
-
-
 def stream_eval(params: Mapping, x, y, desc: ModelDescriptor, order: int = 2) -> StreamEval:
     """Evaluate psi with its gradient and, at order 2, its Hessian.
 
-    One numpy pass, :func:`_stream_jet`, pushes the jet through the
-    network.  With plain arrays its columns are returned as they are.
-    When parameters or positions are Vars the jet is recorded as one tape
-    node, valued (N, 3) or (N, 6), whose hand-written backward sweeps the
-    saved per-layer values in reverse; each field is a column of that
-    node, so parameter gradients of any function of (psi, grad, Hess) are
-    available, and so are position gradients at either order.
+    One numpy pass, :func:`floatdyn.autodiff.mlp_jet` at d = 2 inputs,
+    pushes the jet through the stream network.  With plain arrays its
+    columns are returned as they are.  When parameters or positions are
+    Vars the jet is recorded as one tape node, valued (N, 3) or (N, 6),
+    whose backward is :func:`floatdyn.autodiff.mlp_jet_vjp`; each field is
+    a column of that node, so parameter gradients of any function of
+    (psi, grad, Hess) are available, and so are position gradients at
+    either order.
     """
     if order not in (1, 2):
         raise ConfigurationError("order must be 1 or 2")
@@ -269,40 +198,23 @@ def stream_eval(params: Mapping, x, y, desc: ModelDescriptor, order: int = 2) ->
     lifted = a.ndim == 1
     if lifted:
         a = a[None, :]
-
-    if not any(is_var):
-        cols = _stream_jet(w_vals, b_vals, a, desc.activation, order)
-        return StreamEval(*[c.reshape(()) for c in cols] if lifted else cols)
-
-    pos_is_var = is_var[0] or is_var[1]
-    if pos_is_var and any(np.shape(v) != a.shape[:-1] for v in vals[:2]):
+    if (is_var[0] or is_var[1]) and any(np.shape(v) != a.shape[:-1] for v in vals[:2]):
         raise ConfigurationError("Var positions need x and y of one shape")
-    saves: list = []
-    cols = _stream_jet(w_vals, b_vals, a, desc.activation, order, saves)
-    value = np.stack(cols, axis=-1)
+
+    activation = desc.activation
+    saves = [] if any(is_var) else None
+    cols = [c[:, 0] for c in ad.mlp_jet(w_vals, b_vals, a, activation, order, saves)]
+    if saves is None:
+        return StreamEval(*[c.reshape(()) for c in cols] if lifted else cols)
 
     def multi_vjp(g: Array) -> list[Array]:
         gb = g[None, :] if lifted else g
         zbar = [gb[:, k : k + 1] for k in range(gb.shape[1])]
-        w_grads = [None] * n_layers
-        b_grads = [None] * n_layers
-        for i in range(n_layers - 1, 0, -1):
-            zd, d1, d2, d3, h = saves[i - 1]
-            w_grads[i] = sum(zb.T @ hc for zb, hc in zip(zbar, h))
-            b_grads[i] = zbar[0].sum(axis=0)
-            zbar = _activation_vjp([zb @ w_vals[i] for zb in zbar], zd, d1, d2, d3)
-        # the first layer's inputs: the positions, unit vectors for d/dx
-        # and d/dy, and zero second-order channels
-        w_grads[0] = zbar[0].T @ a
-        w_grads[0][:, 0] += zbar[1].sum(axis=0)
-        w_grads[0][:, 1] += zbar[2].sum(axis=0)
-        b_grads[0] = zbar[0].sum(axis=0)
-        grads = [None, None, *w_grads, *b_grads]
-        if pos_is_var:
-            abar = zbar[0] @ w_vals[0]
-            grads[0], grads[1] = abar[0] if lifted else abar.T
+        w_grads, b_grads, abar = ad.mlp_jet_vjp(zbar, w_vals, a, saves, activation, order)
+        grads = [*(abar[0] if lifted else abar.T), *w_grads, *b_grads]
         return [gr for gr, var in zip(grads, is_var) if var]
 
+    value = np.stack(cols, axis=-1)
     parents = [v for v, var in zip(inputs, is_var) if var]
     node = ad.custom_node(parents[0].tape, value[0] if lifted else value, parents, multi_vjp)
     return StreamEval(*(ad.take_col(node, k) for k in range(len(cols))))
@@ -334,7 +246,7 @@ class DynamicsModel:
         desc = make_descriptor(variant, seed=seed)
         return cls(descriptor=desc, params=init_params(desc), **kwargs)
 
-    def derivative(self, s, t, params: Mapping | None = None, flow_override=None, jet=None):
+    def derivative(self, s, t, params: Mapping | None = None, jet=None):
         """State derivative for (..., 4) states; tape mode when params are Vars.
 
         ``jet`` is an optional ``stream_eval`` of these params at the positions
@@ -351,7 +263,7 @@ class DynamicsModel:
             self.fluid,
             self.descriptor,
             self.caps,
-            flow_override=flow_override if flow_override is not None else self.flow_override,
+            flow_override=self.flow_override,
             jet=jet,
         )
 
@@ -364,23 +276,8 @@ class DynamicsModel:
         p = self.params if params is None else params
         return stream_eval(p, x, y, self.descriptor, order=1).velocity()
 
-    def rollout(
-        self,
-        s0,
-        duration,
-        step: float = 0.01,
-        checkpoints: Sequence[float] | None = None,
-        flow_override=None,
-    ):
-        if flow_override is None:
-            return rollout_model(self.derivative, s0, duration, step, checkpoints)
-        return rollout_model(
-            lambda s, t: self.derivative(s, t, flow_override=flow_override),
-            s0,
-            duration,
-            step,
-            checkpoints,
-        )
+    def rollout(self, s0, duration, step: float = 0.01, checkpoints: Sequence[float] | None = None):
+        return rollout_model(self.derivative, s0, duration, step, checkpoints)
 
     def save(self, path, extra_metadata: Mapping | None = None) -> None:
         meta = {"descriptor": self.descriptor.to_metadata()}

@@ -130,23 +130,25 @@ class FlowField:
     divergence-free wherever they are smooth.
     """
 
-    has_streamfunction = False
-
     def velocity(self, x, y, t):
         raise NotImplementedError
 
     def streamfunction(self, x, y, t):
         raise NotImplementedError(f"{type(self).__name__} exposes no streamfunction")
 
+    def _points(self, x) -> Array:
+        """``x`` as a float array, for flows with no tape-mode form."""
+        if isinstance(x, ad.Var):
+            raise ConfigurationError(f"{type(self).__name__} has no tape-mode form for Var positions")
+        return np.asarray(x, dtype=float)
+
 
 class ZeroFlow(FlowField):
-    has_streamfunction = True
-
     def velocity(self, x, y, t):
-        return Vec2(np.zeros_like(np.asarray(x, dtype=float)), np.zeros_like(np.asarray(y, dtype=float)))
+        return Vec2(np.zeros(np.shape(_raw(x))), np.zeros(np.shape(_raw(y))))
 
     def streamfunction(self, x, y, t):
-        return np.zeros_like(np.asarray(x, dtype=float))
+        return np.zeros(np.shape(_raw(x)))
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,6 @@ class SteadyVortexFlow(FlowField):
 
     omega: float = 1.0
     r_core: float = 3.0
-    has_streamfunction = True
 
     def _swirl(self, x, y, omega):
         # u = omega / (1 + r^2/r_core^2)^2 * (-y, x)
@@ -211,12 +212,11 @@ class PerturbedFlow(FlowField):
     kx: Array
     ky: Array
     phase: Array
-    has_streamfunction = True
 
     def _theta(self, x, y):
         return (
-            np.asarray(x, dtype=float)[..., None] * self.kx
-            + np.asarray(y, dtype=float)[..., None] * self.ky
+            self._points(x)[..., None] * self.kx
+            + self._points(y)[..., None] * self.ky
             + self.phase
         )
 
@@ -262,14 +262,13 @@ class ObstacleFlow(FlowField):
     radius: float = 1.0
     margin: float = 1.2
     core_frac: float = 0.3
-    has_streamfunction = True
 
     def _core2(self) -> float:
         return (self.core_frac * self.radius) ** 2
 
     def velocity(self, x, y, t):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x = self._points(x)
+        y = self._points(y)
         r2 = x * x + y * y
         inside = r2 < self._core2()
         r2s = np.where(inside, 1.0, r2)  # avoid 0/0; overwritten below
@@ -281,8 +280,8 @@ class ObstacleFlow(FlowField):
         return Vec2(ux, uy)
 
     def streamfunction(self, x, y, t):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x = self._points(x)
+        y = self._points(y)
         r2 = np.maximum(x * x + y * y, self._core2())
         return self.u_inf * y * (1.0 - self.radius**2 / r2)
 
@@ -360,15 +359,6 @@ class RadialAddedMass(CoefficientField):
         d = ConstantCoefficients(self.values).describe()
         d.update(kind="radial_added_mass", amp=self.amp)
         return d
-
-
-def coefficient_field_from_description(desc: Mapping) -> CoefficientField:
-    values = HydroCoefficients(desc["m_ax"], desc["m_ay"], desc["c_q"], desc["c_l"])
-    if desc["kind"] == "constant":
-        return ConstantCoefficients(values)
-    if desc["kind"] == "radial_added_mass":
-        return RadialAddedMass(values, amp=desc["amp"])
-    raise ConfigurationError(f"unknown coefficient field kind: {desc['kind']!r}")
 
 
 # -- integration -----------------------------------------------------------------

@@ -194,27 +194,6 @@ def test_relu_prime_is_relu_step_with_zero_adjoint():
     assert np.array_equal(tape.adjoint(v), step)
 
 
-def test_matmul_gradients_match_finite_differences():
-    rng = np.random.default_rng(11)
-    a0 = rng.normal(size=(3, 2))
-    b0 = rng.normal(size=(2, 4))
-    x0 = rng.normal(size=(2,))
-
-    def f(vals):
-        return float(np.sum(vals["a"] @ vals["b"]) + np.sum(vals["a"] @ vals["x"]))
-
-    tape = ad.Tape()
-    leaves = {"a": tape.leaf(a0), "b": tape.leaf(b0), "x": tape.leaf(x0)}
-    root = ad.vsum(ad.matmul(leaves["a"], leaves["b"])) + ad.vsum(
-        ad.matmul(leaves["a"], leaves["x"])
-    )
-    ad.backward(tape, root)
-    got = ad.parameter_gradients(tape, leaves)
-    want = fd_gradient(f, {"a": a0, "b": b0, "x": x0}, h=1e-6)
-    bad = grad_mismatches(got, want, rel_tol=1e-6, abs_floor=1e-7)
-    assert not bad, bad
-
-
 def test_take_col_and_stack_last_roundtrip_gradients():
     rng = np.random.default_rng(5)
     x0 = rng.normal(size=(6, 3))
@@ -289,6 +268,73 @@ def test_forward_mlp_batched_matches_vector_mode():
     batched = ad.forward_mlp(store, xs, [2, 8, 3], "tanh")
     rows = np.stack([ad.forward_mlp(store, x, [2, 8, 3], "tanh") for x in xs])
     assert np.allclose(batched, rows, atol=1e-14)
+
+
+# -- mlp_jet: the dense-network jet at d = 3 inputs -----------------------------
+
+JET_WIDTHS = (3, 6, 5, 2)
+
+
+def _jet_params(rng) -> dict:
+    params = {}
+    for i, (n_in, n_out) in enumerate(zip(JET_WIDTHS, JET_WIDTHS[1:])):
+        params[f"W{i}"] = rng.normal(size=(n_out, n_in))
+        params[f"b{i}"] = rng.normal(size=n_out)
+    return params
+
+
+def _jet(params, a, activation, order, saves=None):
+    n = len(JET_WIDTHS) - 1
+    weights = [params[f"W{i}"] for i in range(n)]
+    biases = [params[f"b{i}"] for i in range(n)]
+    return ad.mlp_jet(weights, biases, a, activation, order, saves)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("activation", ["tanh", "softplus"])
+def test_mlp_jet_channels_match_central_differences_at_three_inputs(activation, order):
+    # a channel of order k is the central difference of one of order k - 1:
+    # d/da_k of the value, and for the pair (i, j) d/da_i of the d/da_j channel
+    rng = np.random.default_rng(23)
+    params = _jet_params(rng)
+    a = rng.uniform(-1.0, 1.0, size=(4, 3))
+    h = 1e-5
+    jet = _jet(params, a, activation, order)
+    assert len(jet) == (4 if order == 1 else 10)
+    diffs = []
+    for k in range(3):
+        up = _jet(params, a + h * np.eye(3)[k], activation, order - 1)
+        down = _jet(params, a - h * np.eye(3)[k], activation, order - 1)
+        diffs.append([(u - d) / (2.0 * h) for u, d in zip(up, down)])
+    if order == 1:
+        got, want = jet[1:], [diffs[k][0] for k in range(3)]
+    else:
+        got, want = jet[4:], [diffs[i][1 + j] for i in range(3) for j in range(i, 3)]
+    for g, w in zip(got, want, strict=True):
+        assert np.max(np.abs(g - w)) < 1e-7
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("activation", ["tanh", "softplus"])
+def test_mlp_jet_vjp_matches_finite_differences_at_three_inputs(activation, order):
+    rng = np.random.default_rng(29)
+    params = {**_jet_params(rng), "a": rng.uniform(-1.0, 1.0, size=(4, 3))}
+    zbar = list(rng.normal(size=(4 if order == 1 else 10, 4, 2)))
+
+    def f(vals):
+        jet = _jet(vals, vals["a"], activation, order)
+        return float(sum(np.sum(zb * c) for zb, c in zip(zbar, jet, strict=True)))
+
+    saves = []
+    _jet(params, params["a"], activation, order, saves)
+    weights = [params[f"W{i}"] for i in range(3)]
+    w_grads, b_grads, abar = ad.mlp_jet_vjp(zbar, weights, params["a"], saves, activation, order)
+    got = {"a": abar}
+    got.update({f"W{i}": g for i, g in enumerate(w_grads)})
+    got.update({f"b{i}": g for i, g in enumerate(b_grads)})
+    want = fd_gradient(f, params)
+    bad = grad_mismatches(got, want, rel_tol=1e-6, abs_floor=1e-8)
+    assert not bad, bad[:5]
 
 
 def test_relu_activation_value_is_max_with_zero():

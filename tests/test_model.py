@@ -266,7 +266,7 @@ def test_plugin_truth_model_matches_generator_derivative():
     f = scenario.derivative_fn()
     rng = np.random.default_rng(3)
     s = rng.uniform(-2, 2, size=(10, 4))
-    got = np.asarray(m.derivative(s, 0.0, flow_override=scenario.flow))
+    got = np.asarray(m.derivative(s, 0.0))
     want = f(s, 0.0)
     assert np.max(np.abs(got - want)) < 1e-8
 
@@ -278,7 +278,7 @@ def test_plugin_truth_model_matches_generator_with_external_forcing():
     rng = np.random.default_rng(4)
     s = rng.uniform(-1, 1, size=(5, 4))
     for t in (0.0, 0.7, 2.3):
-        got = np.asarray(m.derivative(s, t, flow_override=scenario.flow))
+        got = np.asarray(m.derivative(s, t))
         assert np.max(np.abs(got - f(s, t))) < 1e-8
 
 
@@ -359,7 +359,7 @@ def test_plugin_rollout_reproduces_ground_truth_at_4s():
     m = plugin_truth_model(scenario)
     f = scenario.derivative_fn()
     s0 = np.array([1.5, -0.5, 0.2, 0.3])
-    out = m.rollout(s0, 4.0, step=0.01, checkpoints=[1.0, 2.0, 3.0, 4.0], flow_override=scenario.flow)
+    out = m.rollout(s0, 4.0, step=0.01, checkpoints=[1.0, 2.0, 3.0, 4.0])
     _, truth = ph.integrate(f, s0, 0.0, 4.0, 0.005, sample_every=200)
     assert np.max(np.abs(out.states[:, :2] - truth[1:, :2])) < 1e-4
 

@@ -387,8 +387,8 @@ def test_unknown_scenario_and_parameter_rejected():
 
 def test_radial_added_mass_field_roundtrip():
     scenario = ph.make_scenario("steady_vortex", {"radial_added_mass": True})
-    desc = scenario.coeffs.describe()
-    rebuilt = ph.coefficient_field_from_description(desc)
+    manifest = ph.generate_dataset(scenario, 1, 1, duration=0.1).manifest
+    rebuilt = ph.scenario_from_manifest(manifest).coeffs
     m_ax, m_ay, _, _ = rebuilt.at(np.array([0.0, 2.0]), 0.1)
     assert m_ax[0] == pytest.approx(36.0 * 1.1)
     assert m_ax[1] == pytest.approx(36.0 * (1.0 + 0.1 * np.exp(-2.0)))

@@ -1,5 +1,6 @@
 import gc
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -443,3 +444,40 @@ def test_training_step_tape_is_freed_by_reference_counting(vortex_dataset, varia
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_training_step_tape_stays_under_its_memory_bound():
+    # the stream node saves each activation's base rather than phi', phi''
+    # and phi''' (9.68 MB at batch 256 when it saved those; 7.32 MB now)
+    scenario = ph.make_scenario("steady_vortex")
+    dataset = ph.generate_dataset(scenario, 13, 1, duration=1.0, dt_sample=0.05, seed=0)
+    states, nexts, derivs, times = (v[:256] for v in tr.transition_pairs(dataset.split("train")))
+    m = md.DynamicsModel.initialize("fhnn", seed=12, body=scenario.body, fluid=scenario.fluid)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tape = ad.Tape()
+        leaves = m.params.as_leaves(tape)
+        total, _ = tr.training_losses(m, states, nexts, derivs, times, 0.05, tr.LossWeights(), params=leaves)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(states) == 256
+    assert held <= 8.5e6
+
+
+@pytest.mark.parametrize("kind", ["morison_wave", "obstacle_flow"])
+def test_train_with_the_true_flow_plugged_in(kind):
+    # RK4 stages 2-4 hand the known flow Var positions: ZeroFlow takes them,
+    # a flow with no tape-mode form names itself
+    scenario = ph.make_scenario(kind)
+    dataset = ph.generate_dataset(scenario, 2, 1, seed=0)
+    m = md.DynamicsModel.initialize(
+        "fhnn", seed=0, body=scenario.body, fluid=scenario.fluid, flow_override=scenario.flow
+    )
+    if kind == "obstacle_flow":
+        with pytest.raises(ConfigurationError, match="ObstacleFlow"):
+            tr.train(m, dataset, tr.TrainConfig(epochs=1))
+        return
+    result = tr.train(m, dataset, tr.TrainConfig(epochs=1))
+    assert np.isfinite(result.log[-1].total)
