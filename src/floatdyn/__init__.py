@@ -1,6 +1,6 @@
 """Physics-structured identification of floating-body dynamics in 2-D flows.
 
-Subpackages:
+Modules:
     autodiff    reverse-mode tape, dense layers, Adam
     physics     ground-truth dynamics, integrators, scenarios, datasets
     model       learnable dynamics (structured and black-box variants)

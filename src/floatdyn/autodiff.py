@@ -11,7 +11,7 @@ each is one node.  So the rest of the package can differentiate any
 scalar loss with respect to all network parameters without an external
 ML framework.
 
-The math functions in this module (``tanh``, ``sqrt``, ``exp``, ...)
+The math functions in this module (``sqrt``, ``exp``, ``softplus``, ...)
 dispatch on their argument: ``Var`` inputs are recorded on the tape, plain
 arrays and floats fall through to numpy.  Formulas written against them
 therefore run both in recording mode (training) and in raw numpy mode
@@ -267,13 +267,6 @@ def _softplus_value(z: Array) -> Array:
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def tanh(x):
-    if _is_var(x):
-        y = np.tanh(x.value)
-        return x.tape._record(y, (x.idx,), (lambda g, y=y: g * (1.0 - y * y),))
-    return np.tanh(x)
-
-
 def sigmoid(x):
     if _is_var(x):
         y = _sigmoid_value(x.value)
@@ -288,14 +281,6 @@ def softplus(x):
         s = _sigmoid_value(z)
         return x.tape._record(y, (x.idx,), (lambda g, s=s: g * s,))
     return _softplus_value(_const(x))
-
-
-def relu(x):
-    if _is_var(x):
-        z = x.value
-        y = np.maximum(z, 0.0)
-        return x.tape._record(y, (x.idx,), (lambda g, m=relu_prime(z): g * m,))
-    return np.maximum(_const(x), 0.0)
 
 
 def relu_prime(x) -> Array:
@@ -577,7 +562,14 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
     try:
         for name in sorted(payload["tensors"]):
             entry = payload["tensors"][name]
-            store.add(name, np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"]))
+            data = np.asarray(entry["data"], dtype=np.float64)
+            if data.shape != (int(np.prod(entry["shape"])),):
+                raise ConfigurationError(
+                    f"checkpoint {path}: tensor {name!r} has {data.size} values for shape {entry['shape']}"
+                )
+            if not np.all(np.isfinite(data)):
+                raise ConfigurationError(f"checkpoint {path}: tensor {name!r} holds non-finite values")
+            store.add(name, data.reshape(entry["shape"]))
         return store, payload["metadata"]
     except KeyError as err:
         raise ConfigurationError(f"checkpoint {path} lacks key {err.args[0]!r}") from None

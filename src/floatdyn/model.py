@@ -393,6 +393,8 @@ def rollout_model(
         s = s[None, :]
     if duration < 0.0:
         raise ConfigurationError("duration must be >= 0")
+    if not step > 0.0:
+        raise ConfigurationError(f"rollout step must be > 0, got {step}")
     if checkpoints is None:
         checkpoints = [duration]
     cps = np.asarray(sorted(float(c) for c in checkpoints))
@@ -411,13 +413,9 @@ def rollout_model(
     with np.errstate(all="ignore"):
         for i in range(n_steps):
             t = i * step
-            # inline RK4: rows are independent, so a blowing-up row cannot
-            # poison its neighbours; flagged rows stay frozen via np.where
-            k1 = derivative_fn(s, t)
-            k2 = derivative_fn(s + (0.5 * step) * k1, t + 0.5 * step)
-            k3 = derivative_fn(s + (0.5 * step) * k2, t + 0.5 * step)
-            k4 = derivative_fn(s + step * k3, t + step)
-            proposal = s + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # rows are independent, so a blowing-up row cannot poison its
+            # neighbours; flagged rows stay frozen via np.where
+            proposal = ph.rk4_step(derivative_fn, s, t, step)
             bad = ~np.all(np.isfinite(proposal), axis=-1) | np.any(
                 np.abs(proposal) > DIVERGENCE_LIMIT, axis=-1
             )

@@ -364,17 +364,18 @@ class RadialAddedMass(CoefficientField):
 # -- integration -----------------------------------------------------------------
 
 
-def rk4_step(f, s, t: float, h: float):
-    """One classical 4-stage Runge-Kutta step; s may be an array or a Var."""
-    if h <= 0.0:
-        raise ConfigurationError("step size must be > 0")
-    k1 = f(s, t)
+def rk4_step(f, s, t, h: float, k1=None):
+    """One classical 4-stage Runge-Kutta step; s may be an array or a Var.
+
+    The only statement of the RK4 stages.  ``k1`` is f(s, t) when the
+    caller already has it.  No stage is checked: callers decide what a
+    non-finite derivative means.
+    """
+    if k1 is None:
+        k1 = f(s, t)
     k2 = f(s + (0.5 * h) * k1, t + 0.5 * h)
     k3 = f(s + (0.5 * h) * k2, t + 0.5 * h)
     k4 = f(s + h * k3, t + h)
-    for stage, k in enumerate((k1, k2, k3, k4), start=1):
-        if not np.all(np.isfinite(_raw(k))):
-            raise IntegrationError(f"non-finite derivative in RK4 stage {stage}", time=t, stage=stage)
     return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -389,10 +390,13 @@ def integrate(
     """Repeated RK4 from t0 over `duration`, sampling every `sample_every` steps.
 
     Returns (times, states) with the initial and final states always
-    included.  States may be (4,) or batched (N, 4).
+    included.  States may be (4,) or batched (N, 4).  A non-finite stage
+    raises :class:`IntegrationError` with the step's start time and the stage.
     """
     if duration <= 0.0:
         raise ConfigurationError("duration must be > 0")
+    if not h > 0.0:
+        raise ConfigurationError(f"step size must be > 0, got {h}")
     if sample_every < 1:
         raise ConfigurationError("sample_every must be >= 1")
     n_steps = int(round(duration / h))
@@ -403,14 +407,21 @@ def integrate(
     s = np.asarray(s0, dtype=np.float64).copy()
     times = [t0]
     samples = [s.copy()]
+    stage = 0
+
+    def checked(s, t_stage):
+        nonlocal stage
+        stage += 1
+        k = f(s, t_stage)
+        if not np.all(np.isfinite(k)):
+            msg = f"integration failed at t={t:.6g}: non-finite derivative in RK4 stage {stage}"
+            raise IntegrationError(msg, time=t, stage=stage)
+        return k
+
     for i in range(n_steps):
         t = t0 + i * h
-        try:
-            s = rk4_step(f, s, t, h)
-        except IntegrationError as err:
-            raise IntegrationError(
-                f"integration failed at t={t:.6g}: {err}", time=t, stage=err.stage
-            ) from err
+        stage = 0
+        s = rk4_step(checked, s, t, h)
         if (i + 1) % sample_every == 0:
             times.append(t0 + (i + 1) * h)
             samples.append(s.copy())
@@ -438,6 +449,12 @@ class Trajectory:
             self.derivs = np.asarray(self.derivs, dtype=np.float64)
         if len(self.times) != len(self.states) or len(self.times) < 2:
             raise ConfigurationError("trajectory needs matching times/states with >= 2 samples")
+        if self.states.ndim != 2 or self.states.shape[1] != 4:
+            raise ConfigurationError(f"trajectory states must be (T, 4), got {self.states.shape}")
+        if self.derivs is not None and self.derivs.shape != self.states.shape:
+            raise ConfigurationError(f"labels {self.derivs.shape} must match states {self.states.shape}")
+        if not self.dt > 0.0:
+            raise ConfigurationError(f"trajectory dt must be > 0, got {self.dt}")
         gaps = np.diff(self.times)
         if not np.allclose(gaps, self.dt, rtol=0.0, atol=1e-9):
             raise ConfigurationError("trajectory samples must be uniformly spaced at dt")
@@ -496,6 +513,9 @@ class Dataset:
                 raise ConfigurationError(
                     f"{jsonl_path} line {lineno}: trajectory record lacks key {err.args[0]!r}"
                 ) from None
+            values = (trajectory.times, trajectory.states, trajectory.derivs)
+            if not all(np.all(np.isfinite(v)) for v in values if v is not None):
+                raise ConfigurationError(f"{jsonl_path} line {lineno}: trajectory holds non-finite values")
             trajectories.append(trajectory)
         manifest = {}
         if manifest_path is not None and Path(manifest_path).exists():

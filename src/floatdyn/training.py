@@ -133,23 +133,6 @@ def _mean_sq_norm(err, n: int):
     return ad.vsum(err * err) / float(n)
 
 
-def loss_derivative(model: DynamicsModel, states: Array, derivs: Array, times, params=None):
-    """Mean squared error between f(s, t) and the derivative labels."""
-    d = model.derivative(states, times, params=params)
-    return _mean_sq_norm(d - derivs, len(states))
-
-
-def loss_step(model: DynamicsModel, states: Array, next_states: Array, times, delta: float, params=None):
-    """Mean squared error of one RK4 step of size delta against the next sample."""
-    phi = ph.rk4_step(lambda s, t: model.derivative(s, t, params=params), states, times, delta)
-    return _mean_sq_norm(phi - next_states, len(states))
-
-
-def loss_smooth(model: DynamicsModel, positions: Array, lambda_flow: float, params=None):
-    """lambda_flow times the mean squared Frobenius norm of the psi Hessian."""
-    return _smoothness(model, positions, lambda_flow, params)[1]
-
-
 def _smoothness(model: DynamicsModel, positions: Array, lambda_flow: float, params=None):
     """The order-2 psi jet at ``positions`` and the Hessian penalty built on it.
 
@@ -177,24 +160,21 @@ def training_losses(
 ):
     """All loss terms at once, sharing two evaluations between them.
 
-    The derivative match reuses the RK4 step's first stage, and that stage
-    reuses the order-2 streamfunction jet of the smoothness term, both
-    taken at ``states``: the jet's psi and gradient columns are bitwise
-    the order-1 evaluation.  So values are identical to calling the
-    standalone loss functions.  Returns (total, LossBreakdown) where total
-    is a Var in tape mode.
+    ``l_deriv`` and ``l_step`` are the mean squared errors of f(s, t)
+    against the labels and of one RK4 step of size ``delta`` against
+    ``next_states``; ``l_smooth`` is ``lambda_flow`` times the mean squared
+    Frobenius norm of the psi Hessian.  The derivative match is the RK4
+    step's first stage, and that stage reuses the smoothness term's order-2
+    jet, whose psi and gradient columns are bitwise the order-1 evaluation;
+    so each term equals its own definition bit for bit.  Returns
+    (total, LossBreakdown) where total is a Var in tape mode.
     """
     n = len(states)
     jet, l_smooth = _smoothness(model, states[:, :2], weights.lambda_flow, params=params)
     f = lambda s, t: model.derivative(s, t, params=params)
     d1 = model.derivative(states, times, params=params, jet=jet)
     l_deriv = _mean_sq_norm(d1 - derivs, n)
-
-    half = 0.5 * delta
-    k2 = f(states + half * d1, times + half)
-    k3 = f(states + half * k2, times + half)
-    k4 = f(states + delta * k3, times + delta)
-    phi = states + (delta / 6.0) * (d1 + 2.0 * k2 + 2.0 * k3 + k4)
+    phi = ph.rk4_step(f, states, times, delta, k1=d1)
     l_step = _mean_sq_norm(phi - next_states, n)
 
     total = weights.w_deriv * l_deriv + weights.w_step * l_step + l_smooth

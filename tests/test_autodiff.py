@@ -13,7 +13,7 @@ TANH_2_5 = 0.986614298151430288881276039237
 
 # -- random-graph gradient property -------------------------------------------
 
-UNARY = ["tanh", "sigmoid", "softplus", "exp", "sqrt", "relu", "neg", "square"]
+UNARY = ["sigmoid", "softplus", "exp", "sqrt", "neg", "square"]
 BINARY = ["add", "sub", "mul", "div"]
 
 
@@ -87,10 +87,7 @@ def run_program(prog, leaf_values, ops):
     return total
 
 
-VAR_OPS = {
-    "tanh": ad.tanh, "sigmoid": ad.sigmoid, "softplus": ad.softplus, "exp": ad.exp,
-    "sqrt": ad.sqrt, "relu": ad.relu, "vmean": ad.vmean,
-}
+VAR_OPS = {"sigmoid": ad.sigmoid, "softplus": ad.softplus, "exp": ad.exp, "sqrt": ad.sqrt, "vmean": ad.vmean}
 
 
 def test_random_graphs_match_finite_differences():
@@ -122,7 +119,7 @@ def test_gradient_of_sum_is_sum_of_gradients_exactly():
 
     tape = ad.Tape()
     v = tape.leaf(x)
-    a = ad.vsum(ad.tanh(v) * 2.0)
+    a = ad.vsum(ad.softplus(v) * 2.0)
     b = ad.vsum(v * v)
     ad.backward(tape, a)
     ga = tape.adjoint(v).copy()
@@ -136,7 +133,7 @@ def test_gradient_of_sum_is_sum_of_gradients_exactly():
 def test_backward_is_idempotent():
     tape = ad.Tape()
     v = tape.leaf([0.2, -0.4, 1.1])
-    root = ad.vsum(ad.sigmoid(v) * ad.tanh(v))
+    root = ad.vsum(ad.sigmoid(v) * ad.softplus(v))
     ad.backward(tape, root)
     first = tape.adjoint(v).copy()
     ad.backward(tape, root)
@@ -147,7 +144,7 @@ def test_backward_is_idempotent():
 def test_backward_rejects_nonscalar_root():
     tape = ad.Tape()
     v = tape.leaf([1.0, 2.0])
-    y = ad.tanh(v)
+    y = ad.sigmoid(v)
     with pytest.raises(ad.UsageError):
         ad.backward(tape, y)
 
@@ -170,9 +167,11 @@ def test_linear_and_tanh_backward_examples():
     ad.backward(tape, root)
     assert tape.adjoint(w) == pytest.approx(3.0)
 
+    # a 1-1-1 tanh network with unit weights and zero biases is tanh itself
+    store = ad.ParamStore({"W0": [[1.0]], "b0": [0.0], "W1": [[1.0]], "b1": [0.0]})
     tape = ad.Tape()
-    w = tape.leaf(0.0)
-    ad.backward(tape, ad.tanh(w))
+    w = tape.leaf([0.0])
+    ad.backward(tape, ad.vsum(ad.forward_mlp(store, w, (1, 1, 1), "tanh")))
     assert tape.adjoint(w) == pytest.approx(1.0)
 
 
@@ -185,9 +184,11 @@ def test_relu_prime_is_relu_step_with_zero_adjoint():
     assert len(tape) == 1
     assert np.array_equal(step, ad.relu_prime(z))
     assert np.array_equal(step, np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0]))
-    assert np.array_equal(ad.relu(z), z * ad.relu_prime(z))
+    assert np.array_equal(ad.activation_value_and_base("relu", z)[0], z * ad.relu_prime(z))
 
-    ad.backward(tape, ad.vsum(ad.relu(v)))
+    # identity weights and zero biases: the network is relu applied elementwise
+    eye = ad.ParamStore({"W0": np.eye(7), "b0": np.zeros(7), "W1": np.eye(7), "b1": np.zeros(7)})
+    ad.backward(tape, ad.vsum(ad.forward_mlp(eye, v, (7, 7, 7), "relu")))
     assert np.array_equal(tape.adjoint(v), step)
 
     ad.backward(tape, ad.vsum(ad.relu_prime(v) * v))
@@ -250,13 +251,13 @@ def test_forward_mlp_single_layer_tanh_identity_case():
     store = ad.ParamStore({"W0": [[1.0]], "b0": [0.0]})
     # single layer: no activation applied after the last layer, so compose
     out = ad.forward_mlp(store, np.array([0.0]), [1, 1], "tanh")
-    assert np.allclose(ad.tanh(out), [0.0], atol=0.0)
+    assert np.allclose(ad.activation_value_and_base("tanh", out)[0], [0.0], atol=0.0)
 
 
 def test_forward_mlp_scalar_against_high_precision_tanh():
     store = ad.ParamStore({"W0": [[2.0]], "b0": [0.5]})
     pre = ad.forward_mlp(store, np.array([1.0]), [1, 1], "tanh")
-    out = ad.tanh(pre)
+    out, _ = ad.activation_value_and_base("tanh", pre)
     assert out[0] == pytest.approx(TANH_2_5, abs=1e-12)
 
 
@@ -338,7 +339,7 @@ def test_mlp_jet_vjp_matches_finite_differences_at_three_inputs(activation, orde
 
 
 def test_relu_activation_value_is_max_with_zero():
-    # as ad.relu: -inf maps to 0 without a warning, and negatives to +0.0
+    # -inf maps to 0 without a warning, and negatives to +0.0
     z = np.array([-np.inf, -1.5, -0.0, 0.0, 2.0, np.inf])
     value, base = ad.activation_value_and_base("relu", z)
     assert np.array_equal(value, [0.0, 0.0, 0.0, 0.0, 2.0, np.inf])
@@ -462,6 +463,23 @@ def test_checkpoint_missing_key_is_configuration_error(tmp_path, key):
         del payload[key]
     path.write_text(json.dumps(payload))
     with pytest.raises(ad.ConfigurationError, match=repr(key)):
+        ad.load_checkpoint(path)
+
+
+def test_checkpoint_tensor_size_mismatch_names_the_tensor(tmp_path):
+    path = tmp_path / "ckpt.json"
+    ad.save_checkpoint(path, ad.ParamStore({"b": [0.5], "w": [1.0, 2.0]}), {"seed": 1})
+    payload = json.loads(path.read_text())
+    payload["tensors"]["w"]["shape"] = [3]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ad.ConfigurationError, match="'w' has 2 values for shape \\[3\\]"):
+        ad.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_non_finite_values(tmp_path):
+    path = tmp_path / "ckpt.json"
+    ad.save_checkpoint(path, ad.ParamStore({"b": [0.5], "w": [1.0, np.nan]}), {"seed": 1})
+    with pytest.raises(ad.ConfigurationError, match="'w' holds non-finite"):
         ad.load_checkpoint(path)
 
 

@@ -389,6 +389,24 @@ def test_rollout_flags_divergence_and_freezes_state():
     assert np.isnan(out.diverged_at[1])
 
 
+def test_rollout_rejects_nonpositive_step():
+    m = md.DynamicsModel.initialize("fhnn", seed=1)
+    s0 = np.array([1.0, 2.0, 0.1, -0.1])
+    for step in (0.0, -0.01):
+        with pytest.raises(ConfigurationError, match="rollout step must be > 0"):
+            m.rollout(s0, 1.0, step=step)
+
+
+def test_rollout_checkpoint_equals_integrate_sample_bitwise():
+    # both take their steps with physics.rk4_step, so on one derivative they
+    # agree bit for bit, here in a flow that changes in time
+    f = ph.make_scenario("time_varying_vortex").derivative_fn()
+    s0 = np.array([[1.5, -0.5, 0.2, 0.3], [0.8, 1.1, -0.1, 0.0]])
+    out = md.rollout_model(f, s0, 1.0, step=0.01, checkpoints=[0.5, 1.0])
+    _, samples = ph.integrate(f, s0, 0.0, 1.0, 0.01, sample_every=50)
+    assert out.states.tobytes() == samples[1:].tobytes()
+
+
 def test_rotation_equivariance_with_tied_masses_and_radial_flow():
     scenario = ph.make_scenario("steady_vortex")
     m = md.DynamicsModel.initialize("fhnn", seed=12, body=scenario.body, fluid=scenario.fluid)

@@ -278,12 +278,33 @@ def test_integration_error_carries_time_of_failure():
     assert err.value.time == pytest.approx(0.5, abs=1e-9)
     assert err.value.stage == 2
 
+    # one input per stage: f fails on its (4 * 5 + stage)-th call, that
+    # stage of the step starting at 0.5
+    for stage in (1, 2, 3, 4):
+        calls = []
+
+        def g(y, t, calls=calls, stage=stage):
+            calls.append(t)
+            return np.full_like(y, np.nan) if len(calls) == 4 * 5 + stage else -y
+
+        with pytest.raises(ph.IntegrationError) as err:
+            ph.integrate(g, np.array([1.0]), 0.0, 1.0, 0.1)
+        assert err.value.time == pytest.approx(0.5, abs=1e-9)
+        assert err.value.stage == stage
+        assert f"stage {stage}" in str(err.value)
+
 
 def test_integrate_rejects_nondividing_step():
     with pytest.raises(ConfigurationError):
         ph.integrate(lambda y, t: -y, np.array([1.0]), 0.0, 1.0, 0.3)
     with pytest.raises(ConfigurationError):
         ph.integrate(lambda y, t: -y, np.array([1.0]), 0.0, 1.0, 0.1, sample_every=3)
+
+
+def test_integrate_rejects_nonpositive_step():
+    for h in (0.0, -0.1, float("nan")):
+        with pytest.raises(ConfigurationError, match="step size must be > 0"):
+            ph.integrate(lambda y, t: -y, np.array([1.0]), 0.0, 1.0, h)
 
 
 # -- scenarios --------------------------------------------------------------------
@@ -519,3 +540,28 @@ def test_dataset_load_names_a_missing_key_and_its_line(tmp_path):
     (tmp_path / "data.jsonl").write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
     with pytest.raises(ConfigurationError, match="line 2: .*'dt'"):
         ph.Dataset.load(tmp_path / "data.jsonl")
+
+
+@pytest.mark.parametrize("key", ["states", "derivs"])
+def test_dataset_load_rejects_non_finite_values(tmp_path, key):
+    scenario = ph.make_scenario("steady_vortex")
+    ph.generate_dataset(scenario, 1, 1, duration=0.5, dt_sample=0.05, seed=4).save(tmp_path / "data.jsonl")
+    lines = (tmp_path / "data.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    record[key][3][2] = float("nan") if key == "states" else float("inf")
+    (tmp_path / "data.jsonl").write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
+    with pytest.raises(ConfigurationError, match="line 2: .*non-finite"):
+        ph.Dataset.load(tmp_path / "data.jsonl")
+
+
+def test_trajectory_rejects_bad_shapes_and_nonpositive_dt():
+    times = 0.05 * np.arange(3)
+    states = np.zeros((3, 4))
+    with pytest.raises(ConfigurationError, match="states must be"):
+        ph.Trajectory("a", "steady_vortex", 0, "train", 0.05, times, np.zeros((3, 3)))
+    with pytest.raises(ConfigurationError, match="labels"):
+        ph.Trajectory("a", "steady_vortex", 0, "train", 0.05, times, states, np.zeros((2, 4)))
+    for dt in (0.0, -0.05):
+        # samples spaced at dt, so only the sign of dt is wrong
+        with pytest.raises(ConfigurationError, match="dt must be > 0"):
+            ph.Trajectory("a", "steady_vortex", 0, "train", dt, dt * np.arange(3), states)

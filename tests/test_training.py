@@ -24,42 +24,50 @@ def _batch(dataset, k=16):
     return states[:k], nexts[:k], derivs[:k], times[:k]
 
 
-# -- loss_derivative -----------------------------------------------------------
+# the l_step term alone, as a differentiable total
+STEP_ONLY = tr.LossWeights(w_deriv=0.0, w_step=1.0, lambda_flow=0.0)
+
+
+def _parts(m, states, nexts, derivs, times):
+    return tr.training_losses(m, states, nexts, derivs, times, 0.05, tr.LossWeights())[1]
+
+
+def _l_smooth(m, pts, lambda_flow):
+    """training_losses' smoothness term for bodies at rest at ``pts``."""
+    states = np.concatenate([pts, np.zeros_like(pts)], axis=1)
+    zeros = np.zeros_like(states)
+    weights = tr.LossWeights(lambda_flow=lambda_flow)
+    return tr.training_losses(m, states, zeros, zeros, np.zeros(len(pts)), 0.05, weights)[1].l_smooth
+
+
+# -- derivative term -------------------------------------------------------------
 
 
 def test_loss_derivative_zero_for_plugin_truth(vortex_dataset):
     scenario, dataset = vortex_dataset
     m = plugin_truth_model(scenario)
-    states, _, derivs, times = _batch(dataset)
-    loss = float(tr.loss_derivative(m, states, derivs, times))
+    loss = _parts(m, *_batch(dataset)).l_deriv
     assert loss < 1e-12
 
 
 def test_loss_derivative_zero_on_fabricated_labels(vortex_dataset):
     scenario, dataset = vortex_dataset
     m = md.DynamicsModel.initialize("fhnn", seed=1, body=scenario.body, fluid=scenario.fluid)
-    states, _, _, times = _batch(dataset)
+    states, nexts, _, times = _batch(dataset)
     fabricated = np.asarray(m.derivative(states, times))
-    assert float(tr.loss_derivative(m, states, fabricated, times)) == 0.0
+    assert _parts(m, states, nexts, fabricated, times).l_deriv == 0.0
 
 
 def test_loss_derivative_invariant_under_batch_duplication(vortex_dataset):
     scenario, dataset = vortex_dataset
     m = md.DynamicsModel.initialize("fhnn", seed=2, body=scenario.body, fluid=scenario.fluid)
-    states, _, derivs, times = _batch(dataset)
-    single = float(tr.loss_derivative(m, states, derivs, times))
-    doubled = float(
-        tr.loss_derivative(
-            m,
-            np.concatenate([states, states]),
-            np.concatenate([derivs, derivs]),
-            np.concatenate([times, times]),
-        )
-    )
+    batch = _batch(dataset)
+    single = _parts(m, *batch).l_deriv
+    doubled = _parts(m, *(np.concatenate([v, v]) for v in batch)).l_deriv
     assert doubled == pytest.approx(single, rel=1e-15)
 
 
-# -- loss_step -------------------------------------------------------------------
+# -- one-step term -----------------------------------------------------------------
 
 
 def test_loss_step_reduces_to_state_gap_for_zero_derivative():
@@ -72,31 +80,30 @@ def test_loss_step_reduces_to_state_gap_for_zero_derivative():
     states = np.concatenate([rng.normal(size=(8, 2)), np.zeros((8, 2))], axis=1)
     nexts = np.concatenate([rng.normal(size=(8, 2)), np.zeros((8, 2))], axis=1)
     want = np.mean(np.sum((states - nexts) ** 2, axis=1))
-    got = float(tr.loss_step(m, states, nexts, np.zeros(8), 0.05))
+    got = _parts(m, states, nexts, np.zeros((8, 4)), np.zeros(8)).l_step
     assert got == pytest.approx(want, rel=1e-15)
 
 
 def test_loss_step_tiny_for_plugin_truth(vortex_dataset):
     scenario, dataset = vortex_dataset
     m = plugin_truth_model(scenario)
-    states, nexts, _, times = _batch(dataset)
-    loss = float(tr.loss_step(m, states, nexts, times, 0.05))
+    loss = _parts(m, *_batch(dataset)).l_step
     assert loss < 1e-10  # bounded by the generator's integration accuracy
 
 
 def test_loss_step_gradient_matches_finite_differences(vortex_dataset):
     scenario, dataset = vortex_dataset
     m = md.DynamicsModel.initialize("fhnn", seed=3, body=scenario.body, fluid=scenario.fluid)
-    states, nexts, _, times = _batch(dataset, k=4)
+    states, nexts, derivs, times = _batch(dataset, k=4)
     rng = np.random.default_rng(5)
     coords = sample_coords(dict(m.params.items()), rng, per_tensor=4)
 
     def f(vals):
-        return float(tr.loss_step(m, states, nexts, times, 0.05, params=vals))
+        return float(tr.training_losses(m, states, nexts, derivs, times, 0.05, STEP_ONLY, params=vals)[0])
 
     tape = ad.Tape()
     leaves = m.params.as_leaves(tape)
-    total = tr.loss_step(m, states, nexts, times, 0.05, params=leaves)
+    total, _ = tr.training_losses(m, states, nexts, derivs, times, 0.05, STEP_ONLY, params=leaves)
     ad.backward(tape, total)
     got = ad.parameter_gradients(tape, leaves)
     want = fd_gradient(f, dict(m.params.items()), h=1e-5, coords=coords)
@@ -104,7 +111,7 @@ def test_loss_step_gradient_matches_finite_differences(vortex_dataset):
     assert not bad, bad[:5]
 
 
-# -- loss_smooth -----------------------------------------------------------------
+# -- smoothness term -----------------------------------------------------------------
 
 
 def test_loss_smooth_zero_for_zero_stream_weights():
@@ -113,7 +120,7 @@ def test_loss_smooth_zero_for_zero_stream_weights():
         if name.startswith("stream."):
             m.params[name] = np.zeros_like(m.params[name])
     pts = np.random.default_rng(1).normal(size=(10, 2))
-    assert float(tr.loss_smooth(m, pts, 1.0)) == 0.0
+    assert _l_smooth(m, pts, 1.0) == 0.0
 
 
 def test_loss_smooth_quadratic_streamfunction_value():
@@ -131,7 +138,7 @@ def test_loss_smooth_quadratic_streamfunction_value():
     m = md.DynamicsModel(descriptor=desc, params=params)
     pts = np.random.default_rng(2).uniform(-2, 2, size=(20, 2))
     lam = 1e-3
-    got = float(tr.loss_smooth(m, pts, lam))
+    got = _l_smooth(m, pts, lam)
     assert got == pytest.approx(lam * 2.0, rel=1e-6)
 
 
@@ -139,13 +146,13 @@ def test_loss_smooth_zero_weight_lambda(vortex_dataset):
     scenario, _ = vortex_dataset
     m = md.DynamicsModel.initialize("fhnn", seed=5)
     pts = np.random.default_rng(3).normal(size=(6, 2))
-    assert tr.loss_smooth(m, pts, 0.0) == 0.0
+    assert _l_smooth(m, pts, 0.0) == 0.0
 
 
 def test_loss_smooth_vanishes_for_relu_variant():
     m = md.DynamicsModel.initialize("relu", seed=6)
     pts = np.random.default_rng(4).normal(size=(6, 2))
-    assert float(tr.loss_smooth(m, pts, 1.0)) == 0.0
+    assert _l_smooth(m, pts, 1.0) == 0.0
 
 
 # -- combined objective -------------------------------------------------------------
@@ -166,10 +173,15 @@ def test_training_losses_total_is_weighted_sum(vortex_dataset, flow):
     assert parts.total == pytest.approx(
         1.0 * parts.l_deriv + 2.0 * parts.l_step + parts.l_smooth, abs=1e-12
     )
-    # shared-stage evaluation must equal the standalone losses bitwise
-    assert parts.l_deriv == float(tr.loss_derivative(m, states, derivs, times))
-    assert parts.l_step == float(tr.loss_step(m, states, nexts, times, 0.05))
-    assert parts.l_smooth == float(tr.loss_smooth(m, states[:, :2], weights.lambda_flow))
+    # shared-stage evaluation must equal each term evaluated on its own, bitwise
+    mean_sq = lambda err: float(ad.vsum(err * err) / float(len(states)))  # noqa: E731
+    l_smooth = 0.0
+    if flow == "learned":
+        jet = md.stream_eval(m.params, states[:, 0], states[:, 1], m.descriptor, order=2)
+        l_smooth = float(weights.lambda_flow * ad.vmean(jet.hessian_frobenius_sq()))
+    assert parts.l_deriv == mean_sq(m.derivative(states, times) - derivs)
+    assert parts.l_step == mean_sq(ph.rk4_step(m.derivative, states, times, 0.05) - nexts)
+    assert parts.l_smooth == l_smooth
 
 
 SHARED_JET_CASES = [(f, m) for f in ("learned", "flow_override", "no_flow_field") for m in ("numpy", "tape")]
@@ -240,20 +252,46 @@ def test_full_step_loss_gradient_on_one_sample(vortex_dataset):
     # the classic single-sample check, at tight tolerance
     scenario, dataset = vortex_dataset
     m = md.DynamicsModel.initialize("fhnn", seed=10, body=scenario.body, fluid=scenario.fluid)
-    states, nexts, _, times = _batch(dataset, k=1)
+    states, nexts, derivs, times = _batch(dataset, k=1)
     rng = np.random.default_rng(11)
     coords = sample_coords(dict(m.params.items()), rng, per_tensor=5)
 
     def f(vals):
-        return float(tr.loss_step(m, states, nexts, times, 0.05, params=vals))
+        return float(tr.training_losses(m, states, nexts, derivs, times, 0.05, STEP_ONLY, params=vals)[0])
 
     tape = ad.Tape()
     leaves = m.params.as_leaves(tape)
-    ad.backward(tape, tr.loss_step(m, states, nexts, times, 0.05, params=leaves))
+    ad.backward(tape, tr.training_losses(m, states, nexts, derivs, times, 0.05, STEP_ONLY, params=leaves)[0])
     got = ad.parameter_gradients(tape, leaves)
     want = fd_gradient(f, dict(m.params.items()), h=1e-5, coords=coords)
     bad = grad_mismatches(got, want, rel_tol=1e-5, abs_floor=1e-10)
     assert not bad, bad[:5]
+
+
+class NanOffTheSamples(ph.FlowField):
+    """Still water at array positions, NaN at Var positions: in a tape-mode
+    step those are the positions of RK4 stages 2-4."""
+
+    def velocity(self, x, y, t):
+        if isinstance(x, ad.Var):
+            return ph.Vec2(np.full(x.shape, np.nan), np.full(y.shape, np.nan))
+        return ph.Vec2(np.zeros(np.shape(x)), np.zeros(np.shape(y)))
+
+
+def test_non_finite_rk4_stage_gives_non_finite_loss_and_aborts_training(vortex_dataset):
+    # the one-step loss runs physics.rk4_step, which checks no stage: a
+    # non-finite stage is a non-finite loss, never an IntegrationError
+    scenario, dataset = vortex_dataset
+    m = md.DynamicsModel.initialize(
+        "fhnn", seed=18, body=scenario.body, fluid=scenario.fluid, flow_override=NanOffTheSamples()
+    )
+    states, nexts, derivs, times = _batch(dataset)
+    leaves = m.params.as_leaves(ad.Tape())
+    _, parts = tr.training_losses(m, states, nexts, derivs, times, 0.05, tr.LossWeights(), params=leaves)
+    assert np.isfinite(parts.l_deriv)
+    assert not np.isfinite(parts.l_step) and not np.isfinite(parts.total)
+    with pytest.raises(tr.TrainingAborted):
+        tr.train(m, dataset, tr.TrainConfig(epochs=1, batch_size=64, n_val=1))
 
 
 # -- schedule ------------------------------------------------------------------------
