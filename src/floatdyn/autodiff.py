@@ -2,14 +2,18 @@
 
 A :class:`Tape` records every operation applied to :class:`Var` handles;
 :func:`backward` replays the record once in reverse to accumulate exact
-adjoints.  The Adam optimizer lives here too, and so does the one dense
+adjoints.  Each node keeps one backward callback, which maps the node's
+adjoint to one adjoint per parent; :func:`record` adds a node whose
+parents are the Var operands of an operation.  A callback captures
+arrays and shapes, never a Var, so a tape is freed by reference counting.
+The Adam optimizer lives here too, and so does the one dense
 network: :func:`mlp_jet` pushes its value and, in Taylor mode, its first
 and second input-derivatives over d inputs through it in numpy, and
 :func:`mlp_jet_vjp` is its reverse sweep.  :func:`forward_mlp` is order 0
 of that jet and ``model.stream_eval`` order 1 or 2 at d = 2; on the tape
-each is one node.  So the rest of the package can differentiate any
-scalar loss with respect to all network parameters without an external
-ML framework.
+each is one :func:`jet_node`.  So the rest of the package can
+differentiate any scalar loss with respect to all network parameters
+without an external ML framework.
 
 The math functions in this module (``sqrt``, ``exp``, ``softplus``, ...)
 dispatch on their argument: ``Var`` inputs are recorded on the tape, plain
@@ -66,10 +70,13 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 class Tape:
     """Append-only record of array-valued operations.
 
-    Node ``i`` stores its value, its parent indices and one
-    vector-Jacobian callback per parent.  Construction order is
-    topological order, so a single reverse sweep yields adjoints
-    ``d(root)/d(node)`` for every node.
+    Node ``i`` stores its value, its parent indices and one backward
+    callback that maps the node's adjoint to one adjoint per parent, in
+    parent order; leaves store ``None``.  A callback holds arrays and
+    shapes, never a ``Var``: a Var holds its tape, so the tape would
+    become a reference cycle that only the cyclic garbage collector
+    frees.  Construction order is topological order, so a single reverse
+    sweep yields adjoints ``d(root)/d(node)`` for every node.
     """
 
     __slots__ = ("values", "parents", "vjps", "adjoints")
@@ -77,7 +84,7 @@ class Tape:
     def __init__(self) -> None:
         self.values: list[Array] = []
         self.parents: list[tuple[int, ...]] = []
-        self.vjps: list[tuple[Callable[[Array], Array], ...]] = []
+        self.vjps: list[Callable[[Array], Sequence[Array]] | None] = []
         self.adjoints: list[Array | None] = []
 
     def __len__(self) -> int:
@@ -85,12 +92,12 @@ class Tape:
 
     def leaf(self, value) -> "Var":
         """Record an input node (parameter or constant of interest)."""
-        return self._record(_const(value), (), ())
+        return self._record(_const(value), (), None)
 
-    def _record(self, value: Array, parents: tuple[int, ...], vjps) -> "Var":
+    def _record(self, value: Array, parents: tuple[int, ...], vjp) -> "Var":
         self.values.append(value)
         self.parents.append(parents)
-        self.vjps.append(vjps)
+        self.vjps.append(vjp)
         return Var(self, len(self.values) - 1)
 
     def adjoint(self, var: "Var") -> Array:
@@ -101,6 +108,45 @@ class Tape:
         if a is None:
             return np.zeros_like(self.values[var.idx])
         return a
+
+
+def record(value: Array, operands: Sequence, vjp) -> "Var":
+    """Record ``value`` as a node whose parents are the Vars among ``operands``.
+
+    ``vjp(g)`` returns one adjoint per parent, in operand order.
+    """
+    parents = [v for v in operands if _is_var(v)]
+    tape = parents[0].tape
+    if any(p.tape is not tape for p in parents):
+        raise UsageError("cannot mix Vars from different tapes")
+    # from a list: tuple(generator) allocates a spare tuple that raises the
+    # collector's allocation count, and so the collection rate, every time
+    return tape._record(value, tuple([p.idx for p in parents]), vjp)
+
+
+# op -> (numpy op, adjoint rule for x, for y); a rule maps (adjoint, x value,
+# y value) to that operand's adjoint before it is reduced to the operand's shape
+_BINARY = {
+    "add": (np.add, lambda g, a, b: g, lambda g, a, b: g),
+    "sub": (np.subtract, lambda g, a, b: g, lambda g, a, b: -g),
+    "mul": (np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a),
+    "div": (np.divide, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b)),
+}
+
+
+def _binary(x, y, op: str) -> "Var":
+    """Record ``x op y`` where x or y is a Var; a constant operand gets no adjoint."""
+    fn, dx, dy = _BINARY[op]
+    a, b = _value(x), _value(y)
+    dx = dx if _is_var(x) else None
+    dy = dy if _is_var(y) else None
+    return record(
+        fn(a, b),
+        (x, y),
+        lambda g, a=a, b=b, dx=dx, dy=dy: [
+            _unbroadcast(d(g, a, b), v.shape) for d, v in ((dx, a), (dy, b)) if d is not None
+        ],
+    )
 
 
 class Var:
@@ -128,130 +174,52 @@ class Var:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Var(idx={self.idx}, value={self.value!r})"
 
-    # -- binary arithmetic -------------------------------------------------
-
-    def _coerce(self, other) -> tuple[Array | None, "Var | None"]:
-        if isinstance(other, Var):
-            if other.tape is not self.tape:
-                raise UsageError("cannot mix Vars from different tapes")
-            return None, other
-        return _const(other), None
+    # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other):
-        c, v = self._coerce(other)
-        a = self.value
-        if v is None:
-            out = a + c
-            return self.tape._record(
-                out, (self.idx,), (lambda g, s=a.shape: _unbroadcast(g, s),)
-            )
-        b = v.value
-        out = a + b
-        return self.tape._record(
-            out,
-            (self.idx, v.idx),
-            (
-                lambda g, s=a.shape: _unbroadcast(g, s),
-                lambda g, s=b.shape: _unbroadcast(g, s),
-            ),
-        )
+        return _binary(self, other, "add")
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        c, v = self._coerce(other)
-        a = self.value
-        if v is None:
-            out = a - c
-            return self.tape._record(
-                out, (self.idx,), (lambda g, s=a.shape: _unbroadcast(g, s),)
-            )
-        b = v.value
-        out = a - b
-        return self.tape._record(
-            out,
-            (self.idx, v.idx),
-            (
-                lambda g, s=a.shape: _unbroadcast(g, s),
-                lambda g, s=b.shape: _unbroadcast(-g, s),
-            ),
-        )
+        return _binary(self, other, "sub")
 
     def __rsub__(self, other):
-        c, _ = self._coerce(other)
-        a = self.value
-        out = c - a
-        return self.tape._record(
-            out, (self.idx,), (lambda g, s=a.shape: _unbroadcast(-g, s),)
-        )
+        return _binary(other, self, "sub")
 
     def __mul__(self, other):
-        c, v = self._coerce(other)
-        a = self.value
-        if v is None:
-            out = a * c
-            return self.tape._record(
-                out, (self.idx,), (lambda g, s=a.shape, c=c: _unbroadcast(g * c, s),)
-            )
-        b = v.value
-        out = a * b
-        return self.tape._record(
-            out,
-            (self.idx, v.idx),
-            (
-                lambda g, s=a.shape, b=b: _unbroadcast(g * b, s),
-                lambda g, s=b.shape, a=a: _unbroadcast(g * a, s),
-            ),
-        )
+        return _binary(self, other, "mul")
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        c, v = self._coerce(other)
-        a = self.value
-        if v is None:
-            out = a / c
-            return self.tape._record(
-                out, (self.idx,), (lambda g, s=a.shape, c=c: _unbroadcast(g / c, s),)
-            )
-        b = v.value
-        out = a / b
-        return self.tape._record(
-            out,
-            (self.idx, v.idx),
-            (
-                lambda g, s=a.shape, b=b: _unbroadcast(g / b, s),
-                lambda g, s=b.shape, a=a, b=b: _unbroadcast(-g * a / (b * b), s),
-            ),
-        )
+        return _binary(self, other, "div")
 
     def __rtruediv__(self, other):
-        c, _ = self._coerce(other)
-        a = self.value
-        out = c / a
-        return self.tape._record(
-            out,
-            (self.idx,),
-            (lambda g, s=a.shape, a=a, c=c: _unbroadcast(-g * c / (a * a), s),),
-        )
+        return _binary(other, self, "div")
 
     def __neg__(self):
-        a = self.value
-        return self.tape._record(-a, (self.idx,), (lambda g: -g,))
+        return self.tape._record(-self.value, (self.idx,), lambda g: (-g,))
 
     def __pow__(self, p):
         if isinstance(p, Var):
             raise UsageError("only constant exponents are supported")
         p = float(p)
         a = self.value
-        out = a**p
-        return self.tape._record(
-            out, (self.idx,), (lambda g, a=a, p=p: g * p * a ** (p - 1.0),)
-        )
+        return self.tape._record(a**p, (self.idx,), lambda g, a=a, p=p: (g * p * a ** (p - 1.0),))
 
 
 def _is_var(x) -> bool:
     return isinstance(x, Var)
+
+
+def _value(x) -> Array:
+    return x.value if _is_var(x) else _const(x)
+
+
+def _operand(x):
+    """A Var as it is, anything else as a float64 array."""
+    return x if _is_var(x) else _const(x)
 
 
 # -- elementwise functions (dispatch Var / numpy) --------------------------
@@ -270,7 +238,7 @@ def _softplus_value(z: Array) -> Array:
 def sigmoid(x):
     if _is_var(x):
         y = _sigmoid_value(x.value)
-        return x.tape._record(y, (x.idx,), (lambda g, y=y: g * y * (1.0 - y),))
+        return x.tape._record(y, (x.idx,), lambda g, y=y: (g * y * (1.0 - y),))
     return _sigmoid_value(_const(x))
 
 
@@ -279,13 +247,13 @@ def softplus(x):
         z = x.value
         y = _softplus_value(z)
         s = _sigmoid_value(z)
-        return x.tape._record(y, (x.idx,), (lambda g, s=s: g * s,))
+        return x.tape._record(y, (x.idx,), lambda g, s=s: (g * s,))
     return _softplus_value(_const(x))
 
 
 def relu_prime(x) -> Array:
     """relu's step 1[x > 0] (0 at x = 0) as a constant: on the tape it has no node and no adjoint."""
-    z = x.value if _is_var(x) else _const(x)
+    z = _value(x)
     return (z > 0.0).astype(np.float64)
 
 
@@ -332,14 +300,14 @@ def activation_derivatives(name: str, base: Array, order: int = 1):
 def exp(x):
     if _is_var(x):
         y = np.exp(x.value)
-        return x.tape._record(y, (x.idx,), (lambda g, y=y: g * y,))
+        return x.tape._record(y, (x.idx,), lambda g, y=y: (g * y,))
     return np.exp(x)
 
 
 def sqrt(x):
     if _is_var(x):
         y = np.sqrt(x.value)
-        return x.tape._record(y, (x.idx,), (lambda g, y=y: g / (2.0 * y),))
+        return x.tape._record(y, (x.idx,), lambda g, y=y: (g / (2.0 * y),))
     return np.sqrt(x)
 
 
@@ -351,9 +319,7 @@ def vsum(x):
     if _is_var(x):
         a = x.value
         out = _const(a.sum())
-        return x.tape._record(
-            out, (x.idx,), (lambda g, s=a.shape: np.broadcast_to(g, s),)
-        )
+        return x.tape._record(out, (x.idx,), lambda g, s=a.shape: (np.broadcast_to(g, s),))
     return _const(np.sum(x))
 
 
@@ -363,9 +329,7 @@ def vmean(x):
         a = x.value
         n = a.size
         out = _const(a.mean())
-        return x.tape._record(
-            out, (x.idx,), (lambda g, s=a.shape, n=n: np.broadcast_to(g / n, s),)
-        )
+        return x.tape._record(out, (x.idx,), lambda g, s=a.shape, n=n: (np.broadcast_to(g / n, s),))
     return _const(np.mean(x))
 
 
@@ -373,21 +337,15 @@ def take_col(x, j: int):
     """Column ``j`` of a 2-D array (or entry ``j`` of a 1-D array)."""
     if _is_var(x):
         a = x.value
-        if a.ndim == 2:
-            def vjp(g, shape=a.shape, j=j):
-                out = np.zeros(shape)
-                out[:, j] = g
-                return out
+        if a.ndim not in (1, 2):
+            raise ConfigurationError(f"take_col expects 1-D/2-D input, got {a.ndim}-D")
 
-            return x.tape._record(a[:, j].copy(), (x.idx,), (vjp,))
-        if a.ndim == 1:
-            def vjp(g, shape=a.shape, j=j):
-                out = np.zeros(shape)
-                out[j] = g
-                return out
+        def vjp(g, shape=a.shape, j=j):
+            out = np.zeros(shape)
+            out[..., j] = g
+            return (out,)
 
-            return x.tape._record(_const(a[j]), (x.idx,), (vjp,))
-        raise ConfigurationError(f"take_col expects 1-D/2-D input, got {a.ndim}-D")
+        return x.tape._record(a[..., j].copy(), (x.idx,), vjp)
     a = _const(x)
     return a[:, j] if a.ndim == 2 else _const(a[j])
 
@@ -407,22 +365,12 @@ def stack_last(parts: Sequence):
         ref = next((a.shape for a in arrs if a.ndim > 0), ())
         arrs = [np.broadcast_to(a, ref) for a in arrs]
         return np.stack(arrs, axis=-1)
-    tape = var_parts[0].tape
-    ref = var_parts[0].value.shape
-    vals = []
-    parents = []
-    vjps = []
-    for k, p in enumerate(parts):
-        if _is_var(p):
-            if p.value.shape != ref:
-                raise ConfigurationError("stack_last parts must share a shape")
-            vals.append(p.value)
-            parents.append(p.idx)
-            vjps.append(lambda g, k=k: g[..., k])
-        else:
-            vals.append(np.broadcast_to(_const(p), ref))
-    out = np.stack(vals, axis=-1)
-    return tape._record(out, tuple(parents), tuple(vjps))
+    ref = var_parts[0].shape
+    if any(p.shape != ref for p in var_parts):
+        raise ConfigurationError("stack_last parts must share a shape")
+    vals = [p.value if _is_var(p) else np.broadcast_to(_const(p), ref) for p in parts]
+    ks = [k for k, p in enumerate(parts) if _is_var(p)]
+    return record(np.stack(vals, axis=-1), parts, lambda g, ks=ks: [g[..., k] for k in ks])
 
 
 # -- backward pass -----------------------------------------------------------
@@ -443,14 +391,10 @@ def backward(tape: Tape, root: Var) -> None:
     adj[root.idx] = np.ones_like(root.value)
     for i in range(root.idx, -1, -1):
         g = adj[i]
-        if g is None:
+        if g is None or tape.vjps[i] is None:
             continue
-        for p, vjp in zip(tape.parents[i], tape.vjps[i]):
-            contrib = vjp(g)
-            if adj[p] is None:
-                adj[p] = contrib
-            else:
-                adj[p] = adj[p] + contrib
+        for p, contrib in zip(tape.parents[i], tape.vjps[i](g)):
+            adj[p] = contrib if adj[p] is None else adj[p] + contrib
     tape.adjoints = adj
 
 
@@ -460,33 +404,6 @@ def parameter_gradients(tape: Tape, leaves: Mapping[str, Var]) -> dict[str, Arra
     Leaves the root never touched get exact zeros.
     """
     return {name: tape.adjoint(var) for name, var in leaves.items()}
-
-
-def custom_node(tape: Tape, value: Array, parents: Sequence[Var], multi_vjp) -> Var:
-    """Record a coarse-grained operation with a shared backward.
-
-    ``multi_vjp(adjoint)`` must return one gradient per parent, in order.
-    It runs once per backward pass; the per-parent callbacks the Tape
-    expects all read from that shared result.  A ``multi_vjp`` must not
-    reference a ``Var``: each Var holds its tape, and the tape holds the
-    closure, so the tape would become a reference cycle that only the
-    cyclic garbage collector frees.
-    """
-    cache: dict[int, list[Array]] = {}
-
-    def make(i: int):
-        def vjp(g, i=i):
-            key = id(g)
-            if key not in cache:
-                cache.clear()
-                cache[key] = multi_vjp(g)
-            return cache[key][i]
-
-        return vjp
-
-    return tape._record(
-        _const(value), tuple(p.idx for p in parents), tuple(make(i) for i in range(len(parents)))
-    )
 
 
 # -- parameter storage and checkpoints ---------------------------------------
@@ -562,7 +479,12 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
     try:
         for name in sorted(payload["tensors"]):
             entry = payload["tensors"][name]
-            data = np.asarray(entry["data"], dtype=np.float64)
+            try:
+                data = np.asarray(entry["data"], dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"checkpoint {path}: tensor {name!r} data is not a list of numbers"
+                ) from None
             if data.shape != (int(np.prod(entry["shape"])),):
                 raise ConfigurationError(
                     f"checkpoint {path}: tensor {name!r} has {data.size} values for shape {entry['shape']}"
@@ -677,59 +599,80 @@ def mlp_jet_vjp(zbar: list, weights: Sequence[Array], a: Array, saves: list, act
     return w_grads, b_grads, zbar[0] @ weights[0]
 
 
+def jet_node(positions: Sequence, weights: Sequence, biases: Sequence, activation: str, order: int = 0):
+    """:func:`mlp_jet` at ``positions``; one tape node if any operand is a Var.
+
+    ``positions`` holds the (N, d) or (d,) input, or its d columns of
+    shape (N,) or (); constants are float64 arrays, and columns may also
+    be floats.  Without a Var operand the output channels come back as
+    numpy arrays, each (N, out), or (out,) for one point.  Otherwise they
+    are recorded side by side as one node valued (N, C * out) or
+    (C * out,), whose backward is :func:`mlp_jet_vjp`.
+    """
+    operands = [*positions, *weights, *biases]
+    is_var = [isinstance(v, Var) for v in operands]
+    vals = [v.value if var else v for v, var in zip(operands, is_var)]
+    n_pos, n_layers = len(positions), len(weights)
+    a = vals[0] if n_pos == 1 else stack_last(vals[:n_pos])
+    w_vals, b_vals = vals[n_pos : n_pos + n_layers], vals[n_pos + n_layers :]
+    lifted = a.ndim == 1
+    if lifted:
+        a = a[None, :]
+    saves = [] if any(is_var) else None
+    z = mlp_jet(w_vals, b_vals, a, activation, order, saves)
+    if saves is None:
+        return [c[0] for c in z] if lifted else z
+    value = np.concatenate(z, axis=-1)
+
+    def vjp(
+        g, w_vals=w_vals, a=a, saves=saves, activation=activation, order=order,
+        width=z[0].shape[1], lifted=lifted, n_pos=n_pos, is_var=is_var,
+    ):
+        gb = g[None, :] if lifted else g
+        zbar = [gb[:, k : k + width] for k in range(0, gb.shape[1], width)]
+        w_grads, b_grads, abar = mlp_jet_vjp(zbar, w_vals, a, saves, activation, order)
+        abar = abar[0] if lifted else abar
+        grads = [abar] if n_pos == 1 else list(abar.T)
+        return [gr for gr, var in zip([*grads, *w_grads, *b_grads], is_var) if var]
+
+    return record(value[0] if lifted else value, operands, vjp)
+
+
 def forward_mlp(params: Mapping, x, layer_widths: Sequence[int], activation: str, prefix: str = ""):
     """Run a dense network ``layer_widths[0] -> ... -> layer_widths[-1]``.
 
     Weights are looked up as ``{prefix}W{i}`` with shape (out, in) and
     biases as ``{prefix}b{i}``.  This is order 0 of :func:`mlp_jet`, on
     (N, in) or (in,) inputs.  Works on the tape (Var params/input) and on
-    plain arrays alike; in tape mode the whole network is one coarse node
-    whose backward is :func:`mlp_jet_vjp`, which keeps training fast.
+    plain arrays alike; in tape mode the whole network is one
+    :func:`jet_node`, which keeps training fast.
     """
     if activation not in ACTIVATIONS:
         raise ConfigurationError(f"unknown activation: {activation!r}")
     n_layers = len(layer_widths) - 1
     if n_layers < 1:
         raise ConfigurationError("layer_widths must describe at least one layer")
-    xv = x.value if _is_var(x) else _const(x)
-    if xv.ndim not in (1, 2):
-        raise ConfigurationError(f"forward_mlp expects 1-D/2-D input, got {xv.ndim}-D")
-    if xv.shape[-1] != layer_widths[0]:
+    x = _operand(x)
+    if x.ndim not in (1, 2):
+        raise ConfigurationError(f"forward_mlp expects 1-D/2-D input, got {x.ndim}-D")
+    if x.shape[-1] != layer_widths[0]:
         raise ConfigurationError(
-            f"input width {xv.shape[-1]} != expected {layer_widths[0]}"
+            f"input width {x.shape[-1]} != expected {layer_widths[0]}"
         )
-    weights = [params[f"{prefix}W{i}"] for i in range(n_layers)]
-    biases = [params[f"{prefix}b{i}"] for i in range(n_layers)]
-    w_vals = [w.value if _is_var(w) else _const(w) for w in weights]
-    b_vals = [b.value if _is_var(b) else _const(b) for b in biases]
+    weights = [_operand(params[f"{prefix}W{i}"]) for i in range(n_layers)]
+    biases = [_operand(params[f"{prefix}b{i}"]) for i in range(n_layers)]
     for i in range(n_layers):
         expected = (layer_widths[i + 1], layer_widths[i])
-        if w_vals[i].shape != expected:
+        if weights[i].shape != expected:
             raise ConfigurationError(
-                f"{prefix}W{i} has shape {w_vals[i].shape}, expected {expected}"
+                f"{prefix}W{i} has shape {weights[i].shape}, expected {expected}"
             )
-        if b_vals[i].shape != (layer_widths[i + 1],):
+        if biases[i].shape != (layer_widths[i + 1],):
             raise ConfigurationError(
-                f"{prefix}b{i} has shape {b_vals[i].shape}, expected {(layer_widths[i + 1],)}"
+                f"{prefix}b{i} has shape {biases[i].shape}, expected {(layer_widths[i + 1],)}"
             )
-    inputs = [x, *weights, *biases]
-    is_var = [_is_var(v) for v in inputs]
-
-    lifted = xv.ndim == 1
-    h = xv[None, :] if lifted else xv
-    saves = [] if any(is_var) else None
-    out = mlp_jet(w_vals, b_vals, h, activation, 0, saves)[0]
-    if saves is None:
-        return out[0] if lifted else out
-
-    def multi_vjp(g: Array) -> list[Array]:
-        gb = g[None, :] if lifted else g
-        w_grads, b_grads, xbar = mlp_jet_vjp([gb], w_vals, h, saves, activation, 0)
-        grads = [xbar[0] if lifted else xbar, *w_grads, *b_grads]
-        return [gr for gr, var in zip(grads, is_var) if var]
-
-    parents = [v for v, var in zip(inputs, is_var) if var]
-    return custom_node(parents[0].tape, out[0] if lifted else out, parents, multi_vjp)
+    out = jet_node([x], weights, biases, activation)
+    return out if _is_var(out) else out[0]
 
 
 def init_mlp_params(

@@ -177,47 +177,26 @@ def stream_eval(params: Mapping, x, y, desc: ModelDescriptor, order: int = 2) ->
     One numpy pass, :func:`floatdyn.autodiff.mlp_jet` at d = 2 inputs,
     pushes the jet through the stream network.  With plain arrays its
     columns are returned as they are.  When parameters or positions are
-    Vars the jet is recorded as one tape node, valued (N, 3) or (N, 6),
-    whose backward is :func:`floatdyn.autodiff.mlp_jet_vjp`; each field is
-    a column of that node, so parameter gradients of any function of
-    (psi, grad, Hess) are available, and so are position gradients at
-    either order.
+    Vars the jet is one :func:`floatdyn.autodiff.jet_node`, valued (N, 3)
+    or (N, 6), whose backward is :func:`floatdyn.autodiff.mlp_jet_vjp`;
+    each field is a column of that node, so parameter gradients of any
+    function of (psi, grad, Hess) are available, and so are position
+    gradients at either order.
     """
     if order not in (1, 2):
         raise ConfigurationError("order must be 1 or 2")
-    n_layers = len(desc.stream_widths) - 1
-    inputs = [x, y]
-    inputs += [params[f"stream.W{i}"] for i in range(n_layers)]
-    inputs += [params[f"stream.b{i}"] for i in range(n_layers)]
-    is_var = [isinstance(v, ad.Var) for v in inputs]
-    vals = [v.value if var else v for v, var in zip(inputs, is_var)]
-    w_vals, b_vals = vals[2 : 2 + n_layers], vals[2 + n_layers :]
-    a = ad.stack_last(vals[:2])
-    if a.ndim > 2:
-        raise ConfigurationError(f"stream_eval expects scalar or 1-D positions, got {a.ndim - 1}-D")
-    lifted = a.ndim == 1
-    if lifted:
-        a = a[None, :]
-    if (is_var[0] or is_var[1]) and any(np.shape(v) != a.shape[:-1] for v in vals[:2]):
+    ndim = max(np.ndim(x), np.ndim(y))
+    if ndim > 1:
+        raise ConfigurationError(f"stream_eval expects scalar or 1-D positions, got {ndim}-D")
+    if (isinstance(x, ad.Var) or isinstance(y, ad.Var)) and np.shape(x) != np.shape(y):
         raise ConfigurationError("Var positions need x and y of one shape")
-
-    activation = desc.activation
-    saves = [] if any(is_var) else None
-    cols = [c[:, 0] for c in ad.mlp_jet(w_vals, b_vals, a, activation, order, saves)]
-    if saves is None:
-        return StreamEval(*[c.reshape(()) for c in cols] if lifted else cols)
-
-    def multi_vjp(g: Array) -> list[Array]:
-        gb = g[None, :] if lifted else g
-        zbar = [gb[:, k : k + 1] for k in range(gb.shape[1])]
-        w_grads, b_grads, abar = ad.mlp_jet_vjp(zbar, w_vals, a, saves, activation, order)
-        grads = [*(abar[0] if lifted else abar.T), *w_grads, *b_grads]
-        return [gr for gr, var in zip(grads, is_var) if var]
-
-    value = np.stack(cols, axis=-1)
-    parents = [v for v, var in zip(inputs, is_var) if var]
-    node = ad.custom_node(parents[0].tape, value[0] if lifted else value, parents, multi_vjp)
-    return StreamEval(*(ad.take_col(node, k) for k in range(len(cols))))
+    n_layers = len(desc.stream_widths) - 1
+    weights = [params[f"stream.W{i}"] for i in range(n_layers)]
+    biases = [params[f"stream.b{i}"] for i in range(n_layers)]
+    jet = ad.jet_node([x, y], weights, biases, desc.activation, order)
+    if isinstance(jet, ad.Var):
+        return StreamEval(*[ad.take_col(jet, k) for k in range(jet.shape[-1])])
+    return StreamEval(*[c[..., 0] for c in jet])
 
 
 # -- derivative assembly ------------------------------------------------------------
@@ -279,11 +258,8 @@ class DynamicsModel:
     def rollout(self, s0, duration, step: float = 0.01, checkpoints: Sequence[float] | None = None):
         return rollout_model(self.derivative, s0, duration, step, checkpoints)
 
-    def save(self, path, extra_metadata: Mapping | None = None) -> None:
-        meta = {"descriptor": self.descriptor.to_metadata()}
-        if extra_metadata:
-            meta.update(extra_metadata)
-        ad.save_checkpoint(path, self.params, meta)
+    def save(self, path) -> None:
+        ad.save_checkpoint(path, self.params, {"descriptor": self.descriptor.to_metadata()})
 
     @classmethod
     def load(cls, path, expected_variant: str | None = None, **kwargs) -> "DynamicsModel":

@@ -168,12 +168,15 @@ class SteadyVortexFlow(FlowField):
         s = omega / (1.0 + q) ** 2
         return Vec2(-y * s, x * s)
 
+    def _psi(self, x, y, omega):
+        r2 = x * x + y * y
+        return 0.5 * omega * r2 / (1.0 + r2 / self.r_core**2)
+
     def velocity(self, x, y, t):
         return self._swirl(x, y, self.omega)
 
     def streamfunction(self, x, y, t):
-        r2 = x * x + y * y
-        return 0.5 * self.omega * r2 / (1.0 + r2 / self.r_core**2)
+        return self._psi(x, y, self.omega)
 
     def peak_speed(self) -> float:
         r = self.r_core / np.sqrt(3.0)
@@ -194,8 +197,7 @@ class TimeVaryingVortexFlow(SteadyVortexFlow):
         return self._swirl(x, y, self._omega_at(t))
 
     def streamfunction(self, x, y, t):
-        r2 = x * x + y * y
-        return 0.5 * self._omega_at(t) * r2 / (1.0 + r2 / self.r_core**2)
+        return self._psi(x, y, self._omega_at(t))
 
 
 @dataclass(frozen=True)
@@ -459,9 +461,6 @@ class Trajectory:
         if not np.allclose(gaps, self.dt, rtol=0.0, atol=1e-9):
             raise ConfigurationError("trajectory samples must be uniformly spaced at dt")
 
-    def duration(self) -> float:
-        return float(self.times[-1] - self.times[0])
-
 
 @dataclass
 class Dataset:
@@ -513,6 +512,8 @@ class Dataset:
                 raise ConfigurationError(
                     f"{jsonl_path} line {lineno}: trajectory record lacks key {err.args[0]!r}"
                 ) from None
+            except (TypeError, ValueError) as err:  # ragged or non-numeric arrays, bad shapes
+                raise ConfigurationError(f"{jsonl_path} line {lineno}: {err}") from None
             values = (trajectory.times, trajectory.states, trajectory.derivs)
             if not all(np.all(np.isfinite(v)) for v in values if v is not None):
                 raise ConfigurationError(f"{jsonl_path} line {lineno}: trajectory holds non-finite values")

@@ -63,7 +63,6 @@ class TrainConfig:
     seed: int = 0
     n_val: int = 8
     checkpoint_every: int = 0
-    step_delta: float | None = None  # must equal the dataset dt when given
 
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
@@ -252,10 +251,6 @@ def train(
     if not train_all:
         raise ConfigurationError("dataset has no training trajectories")
     dt = train_all[0].dt
-    if config.step_delta is not None and abs(config.step_delta - dt) > 1e-12:
-        raise ConfigurationError(
-            f"step_delta {config.step_delta} must equal the dataset dt {dt}"
-        )
     core, val = split_train_val(train_all, min(config.n_val, max(len(train_all) - 1, 0)))
     states, nexts, derivs, times = transition_pairs(core)
     val_batch = transition_pairs(val) if val else None

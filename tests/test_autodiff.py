@@ -469,11 +469,18 @@ def test_checkpoint_missing_key_is_configuration_error(tmp_path, key):
 def test_checkpoint_tensor_size_mismatch_names_the_tensor(tmp_path):
     path = tmp_path / "ckpt.json"
     ad.save_checkpoint(path, ad.ParamStore({"b": [0.5], "w": [1.0, 2.0]}), {"seed": 1})
-    payload = json.loads(path.read_text())
-    payload["tensors"]["w"]["shape"] = [3]
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ad.ConfigurationError, match="'w' has 2 values for shape \\[3\\]"):
-        ad.load_checkpoint(path)
+    saved = json.loads(path.read_text())
+    bad_entries = [
+        ("shape", [3], "'w' has 2 values for shape \\[3\\]"),
+        ("data", [[1.0], [2.0, 3.0]], "'w' data is not a list of numbers"),  # ragged
+        ("data", "ab", "'w' data is not a list of numbers"),
+    ]
+    for key, value, message in bad_entries:
+        payload = json.loads(json.dumps(saved))
+        payload["tensors"]["w"][key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ad.ConfigurationError, match=message):
+            ad.load_checkpoint(path)
 
 
 def test_checkpoint_rejects_non_finite_values(tmp_path):

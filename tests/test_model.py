@@ -247,6 +247,26 @@ def test_stream_eval_records_one_node_plus_columns(order, limit):
     assert len(tape) - before <= limit
 
 
+def _mixed_tape_op(op):
+    """Run ``op`` with the parameters on one tape and an input on another."""
+    first, second = ad.Tape(), ad.Tape()
+    desc = md.make_descriptor("fhnn", seed=1)
+    leaves = md.init_params(desc).as_leaves(first)
+    pts = second.leaf([[0.2, 1.0], [-0.4, 0.5]])
+    if op == "stack_last":
+        return ad.stack_last([first.leaf([1.0, 2.0]), second.leaf([3.0, 4.0])])
+    if op == "forward_mlp":
+        return ad.forward_mlp(leaves, pts, desc.coeff_widths, desc.activation, prefix="coeff.")
+    return md.stream_eval(leaves, ad.take_col(pts, 0), ad.take_col(pts, 1), desc, order=1)
+
+
+@pytest.mark.parametrize("op", ["stack_last", "forward_mlp", "stream_eval"])
+def test_vars_from_two_tapes_are_refused(op):
+    # a parent index from another tape would send its adjoint to an unrelated node
+    with pytest.raises(ad.UsageError, match="different tapes"):
+        _mixed_tape_op(op)
+
+
 # -- structured derivative ----------------------------------------------------------
 
 

@@ -535,11 +535,19 @@ def test_dataset_load_names_a_missing_key_and_its_line(tmp_path):
     scenario = ph.make_scenario("steady_vortex")
     ph.generate_dataset(scenario, 1, 1, duration=0.5, dt_sample=0.05, seed=4).save(tmp_path / "data.jsonl")
     lines = (tmp_path / "data.jsonl").read_text().splitlines()
-    record = json.loads(lines[1])
-    del record["dt"]
-    (tmp_path / "data.jsonl").write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
-    with pytest.raises(ConfigurationError, match="line 2: .*'dt'"):
-        ph.Dataset.load(tmp_path / "data.jsonl")
+
+    def drop_dt(record):
+        del record["dt"]
+
+    def ragged_states(record):  # the second state has 3 components
+        record["states"][1] = record["states"][1][:3]
+
+    for corrupt, message in [(drop_dt, "line 2: .*'dt'"), (ragged_states, "line 2: ")]:
+        record = json.loads(lines[1])
+        corrupt(record)
+        (tmp_path / "data.jsonl").write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
+        with pytest.raises(ConfigurationError, match=message):
+            ph.Dataset.load(tmp_path / "data.jsonl")
 
 
 @pytest.mark.parametrize("key", ["states", "derivs"])

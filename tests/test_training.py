@@ -1,6 +1,7 @@
 import gc
 import logging
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -16,6 +17,12 @@ from oracles import fd_gradient, grad_mismatches, plugin_truth_model, sample_coo
 @pytest.fixture(scope="module")
 def vortex_dataset():
     scenario = ph.make_scenario("steady_vortex")
+    return scenario, ph.generate_dataset(scenario, 6, 2, duration=1.0, dt_sample=0.05, seed=0)
+
+
+@pytest.fixture(scope="module")
+def morison_dataset():
+    scenario = ph.make_scenario("morison_wave")
     return scenario, ph.generate_dataset(scenario, 6, 2, duration=1.0, dt_sample=0.05, seed=0)
 
 
@@ -455,6 +462,39 @@ def test_transition_pairs_shapes(vortex_dataset):
     assert nexts.shape == states.shape
     assert derivs.shape == states.shape
     assert times.shape == (6 * per_traj,)
+
+
+@pytest.mark.parametrize("kind", ["steady_vortex", "morison_wave"])
+@pytest.mark.parametrize("variant", md.VARIANTS)
+def test_training_losses_tape_mode_equals_numpy_mode_bitwise(request, kind, variant):
+    # both modes dispatch the same formulas: numpy ops or one tape node each
+    fixture = "vortex_dataset" if kind == "steady_vortex" else "morison_dataset"
+    scenario, dataset = request.getfixturevalue(fixture)
+    m = md.DynamicsModel.initialize(variant, seed=3, body=scenario.body, fluid=scenario.fluid)
+    batch = _batch(dataset)
+    tape = ad.Tape()
+    _, taped = tr.training_losses(m, *batch, 0.05, tr.LossWeights(), params=m.params.as_leaves(tape))
+    assert np.array(astuple(taped)).tobytes() == np.array(astuple(_parts(m, *batch))).tobytes()
+
+
+def test_backward_runs_each_jet_node_reverse_sweep_once(vortex_dataset, monkeypatch):
+    # one backward callback per node: mlp_jet_vjp is not repeated per parent
+    scenario, dataset = vortex_dataset
+    m = md.DynamicsModel.initialize("fhnn", seed=7, body=scenario.body, fluid=scenario.fluid)
+    calls = dict.fromkeys(["mlp_jet", "mlp_jet_vjp"], 0)
+    for name in calls:
+        def counted(*args, name=name, func=getattr(ad, name), **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        monkeypatch.setattr(ad, name, counted)
+    tape = ad.Tape()
+    leaves = m.params.as_leaves(tape)
+    total, _ = tr.training_losses(m, *_batch(dataset), 0.05, tr.LossWeights(), params=leaves)
+    # one order-2 and three order-1 stream jets, four coefficient networks
+    assert calls == {"mlp_jet": 8, "mlp_jet_vjp": 0}
+    ad.backward(tape, total)
+    assert calls == {"mlp_jet": 8, "mlp_jet_vjp": 8}
 
 
 def test_split_train_val_holds_out_tail():
