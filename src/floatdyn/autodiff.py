@@ -691,15 +691,17 @@ def init_mlp_params(
 
 # -- Adam ---------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class AdamState:
-    """Adam moment buffers plus the current learning rate."""
+    """Adam moment buffers plus the current learning rate; the decay rates
+    and the denominator guard are the ``ADAM_*`` constants."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict[str, Array] = field(default_factory=dict)
     v: dict[str, Array] = field(default_factory=dict)
@@ -709,8 +711,8 @@ class AdamState:
             raise ConfigurationError("learning rate must be >= 0")
 
     @classmethod
-    def for_params(cls, params: ParamStore, lr: float, **kwargs) -> "AdamState":
-        state = cls(lr=lr, **kwargs)
+    def for_params(cls, params: ParamStore, lr: float) -> "AdamState":
+        state = cls(lr=lr)
         for name, value in params.items():
             state.m[name] = np.zeros_like(value)
             state.v[name] = np.zeros_like(value)
@@ -728,11 +730,11 @@ def adam_step(params: ParamStore, grads: Mapping[str, Array], state: AdamState) 
         if not np.all(np.isfinite(grads[name])):
             raise TrainingDivergedError(f"non-finite gradient for {name!r} at t={state.t + 1}")
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
     for name in names:
         g = grads[name]
-        m = state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        v = state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
-        step = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m = state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        v = state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
+        step = state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         params[name] = params[name] - step

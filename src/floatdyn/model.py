@@ -22,7 +22,7 @@ differentiable with respect to both the parameters and the positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -45,22 +45,9 @@ VARIANTS = (
 
 DIVERGENCE_LIMIT = 1e6  # any rollout component beyond this is flagged diverged
 
-
-@dataclass(frozen=True)
-class CapConfig:
-    """Per-coefficient soft upper caps."""
-
-    m_ax: float = 60.0
-    m_ay: float = 60.0
-    c_q: float = 2.0
-    c_l: float = 10.0
-
-    def __post_init__(self) -> None:
-        if min(self.m_ax, self.m_ay, self.c_q, self.c_l) <= 0.0:
-            raise ConfigurationError("all caps must be > 0")
-
-    def as_array(self) -> Array:
-        return np.array([self.m_ax, self.m_ay, self.c_q, self.c_l])
+# soft upper caps of the learned (m_ax, m_ay, c_q, c_l), see cap_map
+CAPS = np.array([60.0, 60.0, 2.0, 10.0])
+CAPS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -96,22 +83,31 @@ class ModelDescriptor:
     def node_widths(self) -> tuple[int, ...]:
         return (4, *self.hidden, 2)
 
+    def networks(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """(parameter name prefix, layer widths) of each network, in draw order."""
+        if self.variant == "neural_ode":
+            return (("node.", self.node_widths),)
+        return (("coeff.", self.coeff_widths), ("stream.", self.stream_widths))
+
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Name and shape of every parameter tensor the networks read."""
+        shapes = {}
+        for prefix, widths in self.networks():
+            for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+                shapes[f"{prefix}W{i}"] = (fan_out, fan_in)
+                shapes[f"{prefix}b{i}"] = (fan_out,)
+        return shapes
+
     def to_metadata(self) -> dict:
-        return {
-            "variant": self.variant,
-            "hidden": list(self.hidden),
-            "activation": self.activation,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_metadata(cls, meta: Mapping) -> "ModelDescriptor":
-        return cls(
-            variant=meta["variant"],
-            hidden=tuple(meta["hidden"]),
-            activation=meta["activation"],
-            seed=meta["seed"],
-        )
+        try:
+            values = {f.name: meta[f.name] for f in fields(cls)}
+        except KeyError as err:
+            raise ConfigurationError(f"model descriptor lacks key {err.args[0]!r}") from None
+        return cls(**{**values, "hidden": tuple(values["hidden"])})
 
 
 def make_descriptor(variant: str, seed: int = 0) -> ModelDescriptor:
@@ -127,11 +123,8 @@ def init_params(desc: ModelDescriptor) -> ad.ParamStore:
     """Seeded Glorot-uniform weights, zero biases, fixed draw order."""
     rng = np.random.default_rng(desc.seed)
     store = ad.ParamStore()
-    if desc.variant == "neural_ode":
-        ad.init_mlp_params(store, desc.node_widths, rng, prefix="node.")
-    else:
-        ad.init_mlp_params(store, desc.coeff_widths, rng, prefix="coeff.")
-        ad.init_mlp_params(store, desc.stream_widths, rng, prefix="stream.")
+    for prefix, widths in desc.networks():
+        ad.init_mlp_params(store, widths, rng, prefix=prefix)
     return store
 
 
@@ -143,10 +136,10 @@ def cap_map(z, caps: Array):
     return caps * ad.sigmoid(ad.softplus(z) / caps)
 
 
-def coefficient_net(params: Mapping, features, caps: CapConfig, desc: ModelDescriptor):
-    """Capped coefficients from (r, sigma) features, shape (..., 4)."""
+def coefficient_net(params: Mapping, features, desc: ModelDescriptor):
+    """Coefficients from (r, sigma) features, capped at CAPS, shape (..., 4)."""
     raw = ad.forward_mlp(params, features, desc.coeff_widths, desc.activation, prefix="coeff.")
-    return cap_map(raw, caps.as_array())
+    return cap_map(raw, CAPS)
 
 
 # -- streamfunction network -------------------------------------------------------
@@ -209,16 +202,27 @@ class DynamicsModel:
     ``body`` and ``fluid`` are the known quantities of the system under
     identification (dry mass, known external forcing, fluid constants);
     everything hydrodynamic is either learned (structured variants) or
-    absorbed by the black-box baseline.
+    absorbed by the black-box baseline; the learned coefficients are
+    capped at :data:`CAPS`.  ``params`` must hold the tensors of
+    :meth:`ModelDescriptor.param_shapes`, which is checked here.  Roll a
+    model out with ``rollout_model(model.derivative, ...)``.
     """
 
     descriptor: ModelDescriptor
     params: ad.ParamStore
-    caps: CapConfig = field(default_factory=CapConfig)
     body: ph.BodyProperties = field(default_factory=ph.BodyProperties)
     fluid: ph.FluidProperties = field(default_factory=ph.FluidProperties)
     # a known flow substituted for the learned one (plug-in oracles)
     flow_override: object = None
+
+    def __post_init__(self) -> None:
+        shapes = self.descriptor.param_shapes()
+        for name, shape in shapes.items():
+            if name not in self.params:
+                raise ConfigurationError(f"{self.descriptor.variant} model params lack tensor {name!r}")
+            if self.params[name].shape != shape:
+                got = self.params[name].shape
+                raise ConfigurationError(f"tensor {name!r} has shape {got}, the network needs {shape}")
 
     @classmethod
     def initialize(cls, variant: str, seed: int = 0, **kwargs) -> "DynamicsModel":
@@ -241,7 +245,6 @@ class DynamicsModel:
             self.body,
             self.fluid,
             self.descriptor,
-            self.caps,
             flow_override=self.flow_override,
             jet=jet,
         )
@@ -255,15 +258,14 @@ class DynamicsModel:
         p = self.params if params is None else params
         return stream_eval(p, x, y, self.descriptor, order=1).velocity()
 
-    def rollout(self, s0, duration, step: float = 0.01, checkpoints: Sequence[float] | None = None):
-        return rollout_model(self.derivative, s0, duration, step, checkpoints)
-
     def save(self, path) -> None:
         ad.save_checkpoint(path, self.params, {"descriptor": self.descriptor.to_metadata()})
 
     @classmethod
     def load(cls, path, expected_variant: str | None = None, **kwargs) -> "DynamicsModel":
         params, meta = ad.load_checkpoint(path)
+        if "descriptor" not in meta:
+            raise ConfigurationError(f"checkpoint {path} lacks key 'descriptor'")
         desc = ModelDescriptor.from_metadata(meta["descriptor"])
         if expected_variant is not None and desc.variant != expected_variant:
             raise ConfigurationError(
@@ -279,7 +281,6 @@ def fhnn_derivative(
     body: ph.BodyProperties,
     fluid: ph.FluidProperties,
     desc: ModelDescriptor,
-    caps: CapConfig,
     flow_override=None,
     jet: StreamEval | None = None,
 ):
@@ -308,7 +309,7 @@ def fhnn_derivative(
         ux, uy = ev.velocity()
 
     def coefficients(r, sigma):
-        coeffs = coefficient_net(params, ad.stack_last([r, sigma]), caps, desc)
+        coeffs = coefficient_net(params, ad.stack_last([r, sigma]), desc)
         m_ax, m_ay, c_q, c_l = (ad.take_col(coeffs, j) for j in range(4))
         if desc.variant == "no_added_mass":
             m_ax = m_ay = 0.0

@@ -35,6 +35,12 @@ SCENARIO_KINDS = (
 )
 
 _NOISE_STREAM = 7701  # rng stream tag for per-trajectory flow perturbations
+OBSTACLE_CORE_FRAC = 0.3  # ObstacleFlow freezes psi inside this fraction of the radius
+RADIAL_AMP = 0.1  # radial coefficients: m_ax(r) = m_ax * (1 + RADIAL_AMP * exp(-r))
+# generate_dataset: start radius and speed ranges, RK4 steps per sample
+R_RANGE = (0.5, 4.0)
+SPEED_RANGE = (0.0, 0.5)
+SUBSTEPS = 10
 
 
 class PhysicalValidityError(ValueError):
@@ -98,25 +104,6 @@ class FluidProperties:
     def __post_init__(self) -> None:
         if self.rho <= 0.0 or self.area <= 0.0 or self.eps <= 0.0:
             raise PhysicalValidityError("rho, area and eps must all be > 0")
-
-
-@dataclass(frozen=True)
-class HydroCoefficients:
-    """Added masses [kg] and drag coefficients; all nonnegative."""
-
-    m_ax: float
-    m_ay: float
-    c_q: float
-    c_l: float
-
-    def __post_init__(self) -> None:
-        for name in ("m_ax", "m_ay", "c_q", "c_l"):
-            v = getattr(self, name)
-            if isinstance(v, (int, float)) and v < 0.0:
-                raise PhysicalValidityError(f"{name} must be >= 0, got {v}")
-
-    def as_tuple(self):
-        return (self.m_ax, self.m_ay, self.c_q, self.c_l)
 
 
 # -- flow fields ---------------------------------------------------------------
@@ -255,18 +242,17 @@ def make_perturbation_modes(
 class ObstacleFlow(FlowField):
     """Potential flow past a cylinder: psi = u_inf * y * (1 - R^2/r^2).
 
-    Exact outside the cylinder; inside r < core_frac*R the streamfunction
-    is frozen at the core radius so velocity stays finite everywhere.
-    The contracted region of validity is r >= margin*R.
+    Exact outside the cylinder; inside r < OBSTACLE_CORE_FRAC*R the
+    streamfunction is frozen at the core radius so velocity stays finite
+    everywhere.  The contracted region of validity is r >= margin*R.
     """
 
     u_inf: float = 0.5
     radius: float = 1.0
     margin: float = 1.2
-    core_frac: float = 0.3
 
     def _core2(self) -> float:
-        return (self.core_frac * self.radius) ** 2
+        return (OBSTACLE_CORE_FRAC * self.radius) ** 2
 
     def velocity(self, x, y, t):
         x = self._points(x)
@@ -324,42 +310,32 @@ def body_acceleration(state: State, t, ux, uy, coefficients, body: BodyPropertie
 # -- coefficient fields ---------------------------------------------------------
 
 
-class CoefficientField:
-    """True coefficients as functions of the invariant features (r, sigma)."""
-
-    def at(self, r, sigma):
-        raise NotImplementedError
-
-    def describe(self) -> dict:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class ConstantCoefficients(CoefficientField):
-    values: HydroCoefficients
+class TrueCoefficients:
+    """True added masses [kg] and drag coefficients, all >= 0, as functions
+    of the invariant features (r, sigma): constant, or with ``radial``
+    m_ax(r) = m_ax * (1 + RADIAL_AMP * exp(-r)) and the rest constant."""
+
+    m_ax: float
+    m_ay: float
+    c_q: float
+    c_l: float
+    radial: bool
+
+    def __post_init__(self) -> None:
+        for name in ("m_ax", "m_ay", "c_q", "c_l"):
+            v = getattr(self, name)
+            if v < 0.0:
+                raise PhysicalValidityError(f"{name} must be >= 0, got {v}")
 
     def at(self, r, sigma):
-        return self.values.as_tuple()
+        m_ax = self.m_ax * (1.0 + RADIAL_AMP * ad.exp(-r)) if self.radial else self.m_ax
+        return m_ax, self.m_ay, self.c_q, self.c_l
 
     def describe(self) -> dict:
-        m_ax, m_ay, c_q, c_l = self.values.as_tuple()
-        return {"kind": "constant", "m_ax": m_ax, "m_ay": m_ay, "c_q": c_q, "c_l": c_l}
-
-
-@dataclass(frozen=True)
-class RadialAddedMass(CoefficientField):
-    """m_ax(r) = m_ax * (1 + amp * exp(-r)); the rest constant."""
-
-    values: HydroCoefficients
-    amp: float = 0.1
-
-    def at(self, r, sigma):
-        m_ax, m_ay, c_q, c_l = self.values.as_tuple()
-        return m_ax * (1.0 + self.amp * ad.exp(-r)), m_ay, c_q, c_l
-
-    def describe(self) -> dict:
-        d = ConstantCoefficients(self.values).describe()
-        d.update(kind="radial_added_mass", amp=self.amp)
+        d = {"kind": "constant", "m_ax": self.m_ax, "m_ay": self.m_ay, "c_q": self.c_q, "c_l": self.c_l}
+        if self.radial:
+            d.update(kind="radial_added_mass", amp=RADIAL_AMP)
         return d
 
 
@@ -592,7 +568,7 @@ class Scenario:
     flow: FlowField
     body: BodyProperties
     fluid: FluidProperties
-    coeffs: CoefficientField
+    coeffs: TrueCoefficients
     params: dict
     min_start_radius: float = 0.0
 
@@ -648,14 +624,20 @@ def make_scenario(kind: str, params: Mapping | None = None) -> Scenario:
     for key, value in (params or {}).items():
         if key not in resolved:
             raise ConfigurationError(f"unknown scenario parameter {key!r} for {kind!r}")
-        resolved[key] = type(resolved[key])(value) if not isinstance(resolved[key], bool) else bool(value)
+        kind_of = type(resolved[key])
+        try:
+            converted = kind_of(value)
+        except (TypeError, ValueError):
+            converted = None
+        if converted is None or (kind_of is int and converted != float(value)):
+            raise ConfigurationError(
+                f"scenario parameter {key!r} must be of type {kind_of.__name__}, got {value!r}"
+            )
+        resolved[key] = converted
 
     fluid = FluidProperties(rho=resolved["rho"], area=resolved["area"], eps=resolved["eps"])
-    true_values = HydroCoefficients(
-        m_ax=resolved["m_ax"], m_ay=resolved["m_ay"], c_q=resolved["c_q"], c_l=resolved["c_l"]
-    )
-    coeffs: CoefficientField = (
-        RadialAddedMass(true_values) if resolved["radial_added_mass"] else ConstantCoefficients(true_values)
+    coeffs = TrueCoefficients(
+        *(resolved[k] for k in ("m_ax", "m_ay", "c_q", "c_l")), radial=resolved["radial_added_mass"]
     )
 
     min_start_radius = 0.0
@@ -700,15 +682,11 @@ def make_scenario(kind: str, params: Mapping | None = None) -> Scenario:
     )
 
 
-def draw_initial_state(
-    rng: np.random.Generator,
-    r_range: tuple[float, float],
-    speed_range: tuple[float, float],
-    min_radius: float = 0.0,
-) -> Array:
-    r = rng.uniform(max(r_range[0], min_radius), r_range[1])
+def draw_initial_state(rng: np.random.Generator, min_radius: float = 0.0) -> Array:
+    """A start at radius in R_RANGE (and >= min_radius), speed in SPEED_RANGE."""
+    r = rng.uniform(max(R_RANGE[0], min_radius), R_RANGE[1])
     angle = rng.uniform(0.0, 2.0 * np.pi)
-    speed = rng.uniform(speed_range[0], speed_range[1])
+    speed = rng.uniform(SPEED_RANGE[0], SPEED_RANGE[1])
     heading = rng.uniform(0.0, 2.0 * np.pi)
     return np.array(
         [r * np.cos(angle), r * np.sin(angle), speed * np.cos(heading), speed * np.sin(heading)]
@@ -722,37 +700,31 @@ def generate_dataset(
     duration: float = 8.0,
     dt_sample: float = 0.05,
     seed: int = 0,
-    r_range: tuple[float, float] = (0.5, 4.0),
-    speed_range: tuple[float, float] = (0.0, 0.5),
-    substeps: int = 10,
 ) -> Dataset:
     """Integrate ground truth for n_train+n_test seeded trajectories.
 
-    Each trajectory gets the derived seed (seed XOR index); membership in
+    Each trajectory gets the derived seed (seed XOR index) and a start
+    drawn by :func:`draw_initial_state` from R_RANGE and SPEED_RANGE
+    (outside the scenario's ``min_start_radius``); membership in
     train/test is assigned per whole trajectory.  All trajectories run
     in one batched integration, one row each; where every trajectory
     sees its own flow (``noisy_flow``), those flows are stacked row by
     row into one field by :meth:`Scenario.batch_flow`.  Derivative labels
     come from the analytic right-hand side at every sample, evaluated in
-    one vectorised call, and the integrator runs at h = dt_sample/substeps
+    one vectorised call, and the integrator runs at h = dt_sample/SUBSTEPS
     so label and rollout error stay far below learned-model error floors.
     """
     if n_train < 1 or n_test < 1:
         raise ConfigurationError("n_train and n_test must each be >= 1")
     n_total = n_train + n_test
-    h = dt_sample / substeps
+    h = dt_sample / SUBSTEPS
     traj_seeds = [int(seed) ^ i for i in range(n_total)]
     starts = np.stack(
-        [
-            draw_initial_state(
-                np.random.default_rng(ts), r_range, speed_range, scenario.min_start_radius
-            )
-            for ts in traj_seeds
-        ]
+        [draw_initial_state(np.random.default_rng(ts), scenario.min_start_radius) for ts in traj_seeds]
     )
 
     f = scenario.derivative_fn(scenario.batch_flow(traj_seeds))
-    times, samples = integrate(f, starts, 0.0, duration, h, sample_every=substeps)
+    times, samples = integrate(f, starts, 0.0, duration, h, sample_every=SUBSTEPS)
     derivs = f(samples, times[:, None])
     trajectories = [
         Trajectory(
@@ -778,15 +750,18 @@ def generate_dataset(
         "duration": duration,
         "dt_sample": dt_sample,
         "seed": seed,
-        "r_range": list(r_range),
-        "speed_range": list(speed_range),
-        "substeps": substeps,
+        "r_range": list(R_RANGE),
+        "speed_range": list(SPEED_RANGE),
+        "substeps": SUBSTEPS,
     }
     return Dataset(trajectories, manifest)
 
 
 def scenario_from_manifest(manifest: Mapping) -> Scenario:
     """Rebuild the generating system recorded in a dataset manifest."""
+    for key in ("scenario", "params"):
+        if key not in manifest:
+            raise ConfigurationError(f"dataset manifest lacks key {key!r}")
     return make_scenario(manifest["scenario"], params=manifest["params"])
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -27,8 +27,6 @@ from .physics import Dataset, Trajectory
 Array = np.ndarray
 
 logger = logging.getLogger(__name__)
-
-LOG_COLUMNS = ("epoch", "lr", "l_deriv", "l_step", "l_smooth", "total", "val_total")
 
 
 @dataclass(frozen=True)
@@ -57,8 +55,6 @@ class TrainConfig:
     epochs: int = 2000
     batch_size: int = 256
     base_lr: float = 1e-3
-    lr_milestones: tuple[int, ...] = ()  # empty: halve at 50% and 75% of epochs
-    lr_factors: tuple[float, ...] = ()
     weights: LossWeights = field(default_factory=LossWeights)
     seed: int = 0
     n_val: int = 8
@@ -69,24 +65,15 @@ class TrainConfig:
             raise ConfigurationError("epochs and batch_size must be >= 1")
         if self.base_lr < 0.0:
             raise ConfigurationError("base_lr must be >= 0")
-        if len(self.lr_milestones) != len(self.lr_factors):
-            raise ConfigurationError("lr_milestones and lr_factors must pair up")
-        if any(m2 <= m1 for m1, m2 in zip(self.lr_milestones, self.lr_milestones[1:])):
-            raise ConfigurationError("lr_milestones must be strictly increasing")
-
-    def resolved_schedule(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        if self.lr_milestones:
-            return self.lr_milestones, self.lr_factors
-        return (self.epochs // 2, (3 * self.epochs) // 4), (0.5, 0.5)
 
 
 def learning_rate(config: TrainConfig, epoch: int) -> float:
-    """Pure function of the (1-based) epoch index."""
-    milestones, factors = config.resolved_schedule()
+    """The rate of the (1-based) epoch: ``base_lr``, halved from epoch
+    ``epochs // 2`` on and halved again from ``3 * epochs // 4`` on."""
     lr = config.base_lr
-    for m, f in zip(milestones, factors):
-        if epoch >= m:
-            lr *= f
+    for milestone in (config.epochs // 2, (3 * config.epochs) // 4):
+        if epoch >= milestone:
+            lr *= 0.5
     return lr
 
 
@@ -203,8 +190,8 @@ class EpochLog:
     total: float
     val_total: float
 
-    def row(self):
-        return [self.epoch, self.lr, self.l_deriv, self.l_step, self.l_smooth, self.total, self.val_total]
+
+LOG_COLUMNS = tuple(f.name for f in fields(EpochLog))
 
 
 @dataclass
@@ -230,7 +217,7 @@ def write_log_csv(path, log: Sequence[EpochLog]) -> None:
         writer = csv.writer(fh)
         writer.writerow(LOG_COLUMNS)
         for entry in log:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in entry.row()])
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in astuple(entry)])
 
 
 def train(

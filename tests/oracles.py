@@ -99,7 +99,7 @@ def plugin_truth_model(scenario, variant: str = "fhnn"):
     the cap map, so the network emits the exact true constants; using it
     with flow_override = the true flow reproduces the generator.
     """
-    from floatdyn.model import DynamicsModel
+    from floatdyn.model import CAPS, DynamicsModel
 
     m = DynamicsModel.initialize(
         variant, seed=0, body=scenario.body, fluid=scenario.fluid, flow_override=scenario.flow
@@ -108,9 +108,9 @@ def plugin_truth_model(scenario, variant: str = "fhnn"):
         if name.startswith("coeff."):
             m.params[name] = np.zeros_like(m.params[name])
     last = len(m.descriptor.coeff_widths) - 2
-    truths = scenario.coeffs.values.as_tuple()
-    caps = m.caps.as_array()
+    c = scenario.coeffs
+    truths = (c.m_ax, c.m_ay, c.c_q, c.c_l)
     m.params[f"coeff.b{last}"] = np.array(
-        [invert_cap(v, c) for v, c in zip(truths, caps)]
+        [invert_cap(v, cap) for v, cap in zip(truths, CAPS)]
     )
     return m

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,11 @@ from floatdyn import physics as ph
 from floatdyn.autodiff import ConfigurationError
 from oracles import fd_gradient, grad_mismatches, plugin_truth_model
 
-CAPS = md.CapConfig()
-
-
 # -- cap map -------------------------------------------------------------------
 
 
 def test_cap_map_saturates_to_caps():
-    caps = CAPS.as_array()
+    caps = md.CAPS
     hi = np.asarray(md.cap_map(np.full((1, 4), 1e3), caps))[0]
     assert np.all(hi <= caps)
     assert np.all(caps - hi < 1e-5)
@@ -31,7 +30,7 @@ def test_cap_map_zero_input_value():
 
 def test_cap_map_outputs_strictly_inside_zero_cap():
     # strict insideness holds wherever float64 can resolve 1 - sigmoid
-    caps = CAPS.as_array()
+    caps = md.CAPS
     for z in (-1e8, -50.0, 0.0, 50.0):
         out = np.asarray(md.cap_map(np.full((1, 4), z), caps))[0]
         assert np.all(out > 0.0) and np.all(out < caps), z
@@ -40,7 +39,7 @@ def test_cap_map_outputs_strictly_inside_zero_cap():
 def test_cap_map_is_strictly_increasing():
     # strictness checked where float64 resolves the increments
     zs = np.linspace(-15.0, 15.0, 151)[:, None]
-    out = np.asarray(md.cap_map(np.repeat(zs, 4, axis=1), CAPS.as_array()))
+    out = np.asarray(md.cap_map(np.repeat(zs, 4, axis=1), md.CAPS))
     assert np.all(np.diff(out, axis=0) > 0.0)
 
 
@@ -67,7 +66,7 @@ def test_coefficients_identical_under_state_rotation():
             u = flow.velocity(state[0], state[1], 0.0)
             ph.body_acceleration(ph.State(*state), 0.0, u.x, u.y, record, m.body, m.fluid)
             feats = np.array(seen)
-            return np.asarray(md.coefficient_net(m.params, feats, m.caps, m.descriptor))[0]
+            return np.asarray(md.coefficient_net(m.params, feats, m.descriptor))[0]
 
         assert np.allclose(coeffs_of(s), coeffs_of(s_rot), rtol=0.0, atol=1e-12)
 
@@ -368,7 +367,7 @@ def test_same_seed_gives_identical_models():
 def test_rollout_zero_duration_returns_initial_state():
     m = md.DynamicsModel.initialize("fhnn", seed=1)
     s0 = np.array([1.0, 2.0, 0.1, -0.1])
-    out = m.rollout(s0, 0.0)
+    out = md.rollout_model(m.derivative, s0, 0.0)
     assert out.states.shape == (1, 4)
     assert np.array_equal(out.states[0], s0)
     assert not out.diverged
@@ -379,7 +378,7 @@ def test_plugin_rollout_reproduces_ground_truth_at_4s():
     m = plugin_truth_model(scenario)
     f = scenario.derivative_fn()
     s0 = np.array([1.5, -0.5, 0.2, 0.3])
-    out = m.rollout(s0, 4.0, step=0.01, checkpoints=[1.0, 2.0, 3.0, 4.0])
+    out = md.rollout_model(m.derivative, s0, 4.0, step=0.01, checkpoints=[1.0, 2.0, 3.0, 4.0])
     _, truth = ph.integrate(f, s0, 0.0, 4.0, 0.005, sample_every=200)
     assert np.max(np.abs(out.states[:, :2] - truth[1:, :2])) < 1e-4
 
@@ -388,8 +387,8 @@ def test_rollout_self_convergence_under_step_halving():
     scenario = ph.make_scenario("steady_vortex")
     m = md.DynamicsModel.initialize("fhnn", seed=4, body=scenario.body, fluid=scenario.fluid)
     s0 = np.array([1.0, 0.0, 0.0, 0.2])
-    a = m.rollout(s0, 8.0, step=0.01, checkpoints=[8.0])
-    b = m.rollout(s0, 8.0, step=0.005, checkpoints=[8.0])
+    a = md.rollout_model(m.derivative, s0, 8.0, step=0.01, checkpoints=[8.0])
+    b = md.rollout_model(m.derivative, s0, 8.0, step=0.005, checkpoints=[8.0])
     assert np.linalg.norm(a.states[-1, :2] - b.states[-1, :2]) < 1e-6
 
 
@@ -414,7 +413,7 @@ def test_rollout_rejects_nonpositive_step():
     s0 = np.array([1.0, 2.0, 0.1, -0.1])
     for step in (0.0, -0.01):
         with pytest.raises(ConfigurationError, match="rollout step must be > 0"):
-            m.rollout(s0, 1.0, step=step)
+            md.rollout_model(m.derivative, s0, 1.0, step=step)
 
 
 def test_rollout_checkpoint_equals_integrate_sample_bitwise():
@@ -480,3 +479,26 @@ def test_checkpoint_roundtrip_and_variant_refusal(tmp_path):
         assert np.array_equal(back.params[name], value)
     with pytest.raises(ConfigurationError):
         md.DynamicsModel.load(path, expected_variant="fhnn")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: p["metadata"].pop("descriptor"), "lacks key 'descriptor'"),
+        (lambda p: p["metadata"]["descriptor"].pop("seed"), "lacks key 'seed'"),
+        (
+            lambda p: p["tensors"].update({"stream.W1": {"shape": [64, 63], "data": [0.1] * (64 * 63)}}),
+            r"'stream.W1' has shape \(64, 63\), the network needs \(64, 64\)",
+        ),
+        (lambda p: p["tensors"].pop("coeff.b0"), "lack tensor 'coeff.b0'"),
+    ],
+    ids=["no_descriptor", "no_seed", "wrong_shape", "missing_tensor"],
+)
+def test_checkpoint_load_names_what_does_not_fit(tmp_path, edit, message):
+    path = tmp_path / "model.json"
+    md.DynamicsModel.initialize("fhnn", seed=5).save(path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigurationError, match=message):
+        md.DynamicsModel.load(path)

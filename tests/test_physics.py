@@ -404,6 +404,18 @@ def test_unknown_scenario_and_parameter_rejected():
         ph.make_scenario("tsunami")
     with pytest.raises(ConfigurationError):
         ph.make_scenario("steady_vortex", {"vorticity": 2.0})
+    bad_values = [
+        ("steady_vortex", "omega", "abc"),
+        ("steady_vortex", "omega", [1.0]),
+        ("noisy_flow", "n_modes", 2.5),
+    ]
+    for kind, key, value in bad_values:
+        with pytest.raises(ConfigurationError, match=f"parameter '{key}'"):
+            ph.make_scenario(kind, {key: value})
+    manifest = ph.generate_dataset(ph.make_scenario("steady_vortex"), 1, 1, duration=0.1).manifest
+    for key in ("scenario", "params"):
+        with pytest.raises(ConfigurationError, match=f"lacks key '{key}'"):
+            ph.scenario_from_manifest({k: v for k, v in manifest.items() if k != key})
 
 
 def test_radial_added_mass_field_roundtrip():

@@ -312,19 +312,11 @@ def test_learning_rate_schedule_is_piecewise():
     assert tr.learning_rate(config, 1499) == 5e-4
     assert tr.learning_rate(config, 1500) == 2.5e-4
     assert tr.learning_rate(config, 2000) == 2.5e-4
-    custom = tr.TrainConfig(epochs=10, base_lr=1.0, lr_milestones=(3, 7), lr_factors=(0.1, 0.5))
-    assert tr.learning_rate(custom, 2) == 1.0
-    assert tr.learning_rate(custom, 3) == 0.1
-    assert tr.learning_rate(custom, 7) == pytest.approx(0.05)
 
 
 def test_train_config_validation():
     with pytest.raises(ConfigurationError):
         tr.TrainConfig(epochs=0)
-    with pytest.raises(ConfigurationError):
-        tr.TrainConfig(lr_milestones=(5,), lr_factors=())
-    with pytest.raises(ConfigurationError):
-        tr.TrainConfig(lr_milestones=(5, 5), lr_factors=(0.5, 0.5))
     with pytest.raises(ConfigurationError):
         tr.LossWeights(lambda_flow=-1.0)
 
