@@ -368,8 +368,9 @@ def integrate(
     """Repeated RK4 from t0 over `duration`, sampling every `sample_every` steps.
 
     Returns (times, states) with the initial and final states always
-    included.  States may be (4,) or batched (N, 4).  A non-finite stage
-    raises :class:`IntegrationError` with the step's start time and the stage.
+    included.  States may be (4,) or batched (N, 4).  A step whose new state
+    is not finite raises :class:`IntegrationError` with the step's start
+    time and its first non-finite stage.
     """
     if duration <= 0.0:
         raise ConfigurationError("duration must be > 0")
@@ -385,24 +386,27 @@ def integrate(
     s = np.asarray(s0, dtype=np.float64).copy()
     times = [t0]
     samples = [s.copy()]
-    stage = 0
+    stages: list[Array] = []
 
-    def checked(s, t_stage):
-        nonlocal stage
-        stage += 1
-        k = f(s, t_stage)
-        if not np.all(np.isfinite(k)):
-            msg = f"integration failed at t={t:.6g}: non-finite derivative in RK4 stage {stage}"
-            raise IntegrationError(msg, time=t, stage=stage)
-        return k
+    def recorded(s, t_stage):
+        stages.append(f(s, t_stage))
+        return stages[-1]
 
-    for i in range(n_steps):
-        t = t0 + i * h
-        stage = 0
-        s = rk4_step(checked, s, t, h)
-        if (i + 1) % sample_every == 0:
-            times.append(t0 + (i + 1) * h)
-            samples.append(s.copy())
+    # a non-finite stage poisons the new state, so one check per step sees
+    # it; the stages after a bad one must not warn before that check
+    with np.errstate(all="ignore"):
+        for i in range(n_steps):
+            t = t0 + i * h
+            stages.clear()
+            s = rk4_step(recorded, s, t, h)
+            if not np.all(np.isfinite(s)):
+                stage = next((j + 1 for j, k in enumerate(stages) if not np.all(np.isfinite(k))), None)
+                what = f"non-finite derivative in RK4 stage {stage}" if stage else "non-finite RK4 update"
+                msg = f"integration failed at t={t:.6g}: {what}"
+                raise IntegrationError(msg, time=t, stage=stage)
+            if (i + 1) % sample_every == 0:
+                times.append(t0 + (i + 1) * h)
+                samples.append(s.copy())
     return np.asarray(times), np.stack(samples, axis=0)
 
 
@@ -626,7 +630,9 @@ def make_scenario(kind: str, params: Mapping | None = None) -> Scenario:
             raise ConfigurationError(f"unknown scenario parameter {key!r} for {kind!r}")
         kind_of = type(resolved[key])
         try:
-            converted = kind_of(value)
+            # bool(value) is True for any non-empty string, and a bool is a number
+            is_bool = isinstance(value, (bool, np.bool_))
+            converted = None if (kind_of is bool) != is_bool else kind_of(value)
         except (TypeError, ValueError):
             converted = None
         if converted is None or (kind_of is int and converted != float(value)):

@@ -177,6 +177,28 @@ def _scalar(x) -> float:
     return float(x.value if isinstance(x, ad.Var) else x)
 
 
+def validation_total(model: DynamicsModel, batch, delta: float, config: TrainConfig) -> float:
+    """Mean total loss over the rows of ``batch`` in numpy mode.
+
+    ``batch`` is (states, next_states, derivs, times) as from
+    :func:`transition_pairs`.  The rows go through ``training_losses`` in
+    chunks of ``config.batch_size``, the training steps' own size, so the
+    pass's arrays stay as small as one step's whatever the row count; the
+    result is the row-weighted mean of the chunk totals, which equals one
+    call over all rows up to rounding.
+    """
+    states, next_states, derivs, times = batch
+    n = len(states)
+    weighted = 0.0
+    for lo in range(0, n, config.batch_size):
+        rows = slice(lo, lo + config.batch_size)
+        _, parts = training_losses(
+            model, states[rows], next_states[rows], derivs[rows], times[rows], delta, config.weights
+        )
+        weighted += (min(lo + config.batch_size, n) - lo) * parts.total
+    return weighted / n
+
+
 # -- training loop ----------------------------------------------------------------------
 
 
@@ -230,7 +252,9 @@ def train(
 
     Mutates ``model.params`` in place and returns the final and
     best-by-validation parameters plus the per-epoch loss log, which is
-    also reported epoch by epoch at INFO level on this module's logger.  A
+    also reported epoch by epoch at INFO level on this module's logger.
+    Validation runs after every epoch over the held-out rows in chunks of
+    ``batch_size`` rows (see :func:`validation_total`).  A
     non-finite loss or gradient aborts with TrainingDivergedError whose
     ``result`` attribute carries the log and the last healthy parameters.
     """
@@ -250,14 +274,6 @@ def train(
     best_val = np.inf
     best_epoch = 0
 
-    def _validation_total() -> float:
-        if val_batch is None:
-            return float("nan")
-        _, parts = training_losses(
-            model, val_batch[0], val_batch[1], val_batch[2], val_batch[3], dt, config.weights
-        )
-        return parts.total
-
     checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
 
     for epoch in range(1, config.epochs + 1):
@@ -267,6 +283,9 @@ def train(
         sums = np.zeros(4)
         for lo in range(0, n, config.batch_size):
             idx = perm[lo : lo + config.batch_size]
+            # the last step's tape lives on through this forward, until
+            # ``total`` is rebound: freed any earlier, glibc trims the heap
+            # top and the forward faults it back in page by page
             tape = ad.Tape()
             leaves = model.params.as_leaves(tape)
             total, parts = training_losses(
@@ -281,9 +300,9 @@ def train(
             except TrainingDivergedError as err:
                 raise _abort(model, best_params, best_epoch, best_val, log, epoch, checkpoint_dir) from err
             sums += len(idx) * np.array([parts.l_deriv, parts.l_step, parts.l_smooth, parts.total])
-        means = sums / n
-        val_total = _validation_total()
-        entry = EpochLog(epoch, lr, means[0], means[1], means[2], means[3], val_total)
+        means = (sums / n).tolist()
+        val_total = float("nan") if val_batch is None else validation_total(model, val_batch, dt, config)
+        entry = EpochLog(epoch, lr, *means, val_total)
         log.append(entry)
         if val_batch is not None and val_total < best_val:
             best_val = val_total

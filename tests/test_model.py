@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from floatdyn import autodiff as ad
 from floatdyn import model as md
@@ -41,6 +43,18 @@ def test_cap_map_is_strictly_increasing():
     zs = np.linspace(-15.0, 15.0, 151)[:, None]
     out = np.asarray(md.cap_map(np.repeat(zs, 4, axis=1), md.CAPS))
     assert np.all(np.diff(out, axis=0) > 0.0)
+
+
+@given(
+    cap=st.floats(0.1, 100.0),
+    # z / cap, kept where float64 resolves 1 - sigmoid(softplus(z) / cap)
+    u=st.lists(st.floats(-1e6, 30.0), min_size=2, max_size=8),
+)
+def test_cap_map_lies_inside_zero_cap_and_is_monotone(cap, u):
+    z = np.sort(np.asarray(u)) * cap
+    out = np.asarray(md.cap_map(z[:, None], np.array([cap])))[:, 0]
+    assert np.all(out > 0.0) and np.all(out < cap)
+    assert np.all(np.diff(out) >= 0.0)
 
 
 def test_coefficients_identical_under_state_rotation():
@@ -406,6 +420,46 @@ def test_rollout_flags_divergence_and_freezes_state():
     assert np.abs(out.states[:, 0, :]).max() <= md.DIVERGENCE_LIMIT * 2
     assert np.isfinite(out.diverged_at[0])
     assert np.isnan(out.diverged_at[1])
+
+
+def _rates_derivative(rates, nan_from):
+    """Row i grows at rates[i] and turns NaN from time nan_from[i] on."""
+
+    def f(s, t):
+        return np.where((t >= nan_from)[:, None], np.nan, rates[:, None] * s)
+
+    return f
+
+
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.floats(-1.0, 1.0),  # growth rate of a healthy row
+            st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),  # start state
+            st.one_of(st.none(), st.floats(0.0, 0.9)),  # when the row turns NaN, if it does
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_rollout_freezes_diverging_rows_and_leaves_the_rest_alone(rows):
+    rates = np.array([r for r, _, _ in rows])
+    s0 = np.array([s for _, s, _ in rows])
+    nan_from = np.array([np.inf if t is None else t for _, _, t in rows])
+    bad = np.isfinite(nan_from)
+    cps = [0.25, 0.5, 0.75, 1.0]
+    out = md.rollout_model(_rates_derivative(rates, nan_from), s0, 1.0, step=0.01, checkpoints=cps)
+    assert np.array_equal(out.diverged, bad)
+    assert np.isfinite(out.states).all()
+    assert np.isnan(out.diverged_at[~bad]).all()
+    for i in np.flatnonzero(bad):
+        assert nan_from[i] <= out.diverged_at[i] <= nan_from[i] + 0.01 + 1e-9
+        frozen = out.states[np.asarray(cps) >= out.diverged_at[i], i]
+        assert (frozen == frozen[:1]).all()
+    if (~bad).any():
+        healthy = _rates_derivative(rates[~bad], nan_from[~bad])
+        alone = md.rollout_model(healthy, s0[~bad], 1.0, step=0.01, checkpoints=cps)
+        assert out.states[:, ~bad].tobytes() == alone.states.tobytes()
 
 
 def test_rollout_rejects_nonpositive_step():

@@ -408,6 +408,11 @@ def test_unknown_scenario_and_parameter_rejected():
         ("steady_vortex", "omega", "abc"),
         ("steady_vortex", "omega", [1.0]),
         ("noisy_flow", "n_modes", 2.5),
+        ("steady_vortex", "radial_added_mass", "false"),
+        ("steady_vortex", "radial_added_mass", 1),
+        ("steady_vortex", "omega", True),
+        ("steady_vortex", "omega", np.True_),
+        ("noisy_flow", "n_modes", False),
     ]
     for kind, key, value in bad_values:
         with pytest.raises(ConfigurationError, match=f"parameter '{key}'"):
@@ -419,6 +424,7 @@ def test_unknown_scenario_and_parameter_rejected():
 
 
 def test_radial_added_mass_field_roundtrip():
+    assert ph.make_scenario("steady_vortex", {"radial_added_mass": np.False_}).coeffs.radial is False
     scenario = ph.make_scenario("steady_vortex", {"radial_added_mass": True})
     manifest = ph.generate_dataset(scenario, 1, 1, duration=0.1).manifest
     rebuilt = ph.scenario_from_manifest(manifest).coeffs

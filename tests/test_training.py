@@ -1,3 +1,4 @@
+import csv
 import gc
 import logging
 import tracemalloc
@@ -436,7 +437,7 @@ def test_train_writes_best_and_final_checkpoints(vortex_dataset, tmp_path):
     assert (tmp_path / "epoch00004.json").exists()
 
 
-def test_write_log_csv_roundtrip(tmp_path):
+def test_write_log_csv_roundtrip(vortex_dataset, tmp_path):
     rows = [tr.EpochLog(1, 1e-3, 0.5, 0.25, 0.01, 0.76, 0.8), tr.EpochLog(2, 1e-3, 0.4, 0.2, 0.01, 0.61, 0.7)]
     path = tmp_path / "log.csv"
     tr.write_log_csv(path, rows)
@@ -444,6 +445,53 @@ def test_write_log_csv_roundtrip(tmp_path):
     assert lines[0] == "epoch,lr,l_deriv,l_step,l_smooth,total,val_total"
     assert len(lines) == 3
     assert lines[1].startswith("1,0.001,0.5,0.25,0.01,")
+
+    # a log that train() produced: every value is a plain number
+    scenario, dataset = vortex_dataset
+    m = md.DynamicsModel.initialize("fhnn", seed=3, body=scenario.body, fluid=scenario.fluid)
+    result = tr.train(m, dataset, tr.TrainConfig(epochs=2, batch_size=64, n_val=1))
+    tr.write_log_csv(path, result.log)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [[float(v) for v in row] for row in rows] == [list(astuple(entry)) for entry in result.log]
+
+
+@pytest.fixture(scope="module")
+def validation_rows():
+    """1,280 held-out rows, as train_fhnn validates on: 8 trajectories of 8 s."""
+    scenario = ph.make_scenario("steady_vortex")
+    dataset = ph.generate_dataset(scenario, 8, 1, duration=8.0, dt_sample=0.05, seed=0)
+    return scenario, tr.transition_pairs(dataset.split("train"))
+
+
+@pytest.mark.parametrize("variant", ["fhnn", "neural_ode"])
+def test_validation_total_equals_one_call_over_all_rows(validation_rows, variant):
+    # 300 rows in chunks of 128 leave a partial last chunk of 44
+    scenario, batch = validation_rows
+    m = md.DynamicsModel.initialize(variant, seed=5, body=scenario.body, fluid=scenario.fluid)
+    rows = [v[:300] for v in batch]
+    config = tr.TrainConfig(batch_size=128)
+    chunked = tr.validation_total(m, rows, 0.05, config)
+    _, whole = tr.training_losses(m, *rows, 0.05, config.weights)
+    assert chunked == pytest.approx(whole.total, rel=1e-13, abs=0.0)
+
+
+def test_validation_memory_does_not_grow_with_row_count(validation_rows):
+    scenario, batch = validation_rows
+    m = md.DynamicsModel.initialize("fhnn", seed=5, body=scenario.body, fluid=scenario.fluid)
+    assert len(batch[0]) == 1280
+    config = tr.TrainConfig()
+    peaks = []
+    for n in (320, 1280):
+        rows = [v[:n] for v in batch]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tr.validation_total(m, rows, 0.05, config)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 def test_transition_pairs_shapes(vortex_dataset):
