@@ -35,7 +35,7 @@ import numpy as np
 
 Array = np.ndarray
 
-ACTIVATIONS = ("tanh", "relu", "softplus")
+ACTIVATIONS = ("tanh", "relu")
 
 
 class ConfigurationError(ValueError):
@@ -251,21 +251,13 @@ def softplus(x):
     return _softplus_value(_const(x))
 
 
-def relu_prime(x) -> Array:
-    """relu's step 1[x > 0] (0 at x = 0) as a constant: on the tape it has no node and no adjoint."""
-    z = _value(x)
-    return (z > 0.0).astype(np.float64)
-
-
 def activation_value_and_base(name: str, z: Array) -> tuple[Array, Array]:
     """phi(z) plus the cached quantity its derivatives are built from."""
     if name == "tanh":
         t = np.tanh(z)
         return t, t
-    if name == "softplus":
-        return _softplus_value(z), _sigmoid_value(z)
-    if name == "relu":
-        return np.maximum(z, 0.0), relu_prime(z)
+    if name == "relu":  # the base is the step 1[z > 0], 0 at z = 0
+        return np.maximum(z, 0.0), (z > 0.0).astype(np.float64)
     raise ConfigurationError(f"unknown activation: {name!r}")
 
 
@@ -283,15 +275,6 @@ def activation_derivatives(name: str, base: Array, order: int = 1):
         if order == 2:
             return s1, s2, None
         return s1, s2, s1 * (6.0 * t * t - 2.0)
-    if name == "softplus":
-        s = base
-        s1 = s
-        if order == 1:
-            return s1, None, None
-        s2 = s * (1.0 - s)
-        if order == 2:
-            return s1, s2, None
-        return s1, s2, s2 * (1.0 - 2.0 * s)
     if name == "relu":
         return base, None, None
     raise ConfigurationError(f"unknown activation: {name!r}")
@@ -472,27 +455,40 @@ def save_checkpoint(path, params: ParamStore, metadata: Mapping) -> None:
 
 
 def load_checkpoint(path) -> tuple[ParamStore, dict]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as err:
+        raise ConfigurationError(f"checkpoint {path} is not JSON ({err})") from None
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ConfigurationError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     store = ParamStore()
     try:
-        for name in sorted(payload["tensors"]):
-            entry = payload["tensors"][name]
+        tensors, metadata = payload["tensors"], payload["metadata"]
+        if not isinstance(metadata, dict) or not isinstance(tensors, dict):
+            raise ConfigurationError(f"checkpoint {path}: 'tensors' and 'metadata' must be JSON objects")
+        for name in sorted(tensors):
+            entry = tensors[name]
+            if not isinstance(entry, dict):
+                raise ConfigurationError(f"checkpoint {path}: tensor {name!r} is not a {{shape, data}} object")
+            shape = entry["shape"]
+            if not (isinstance(shape, list) and all(isinstance(n, int) and n >= 0 for n in shape)):
+                raise ConfigurationError(
+                    f"checkpoint {path}: tensor {name!r} shape {shape!r} is not a list of sizes"
+                )
             try:
                 data = np.asarray(entry["data"], dtype=np.float64)
             except (TypeError, ValueError):
                 raise ConfigurationError(
                     f"checkpoint {path}: tensor {name!r} data is not a list of numbers"
                 ) from None
-            if data.shape != (int(np.prod(entry["shape"])),):
+            if data.shape != (int(np.prod(shape)),):
                 raise ConfigurationError(
-                    f"checkpoint {path}: tensor {name!r} has {data.size} values for shape {entry['shape']}"
+                    f"checkpoint {path}: tensor {name!r} has {data.size} values for shape {shape}"
                 )
             if not np.all(np.isfinite(data)):
                 raise ConfigurationError(f"checkpoint {path}: tensor {name!r} holds non-finite values")
-            store.add(name, data.reshape(entry["shape"]))
-        return store, payload["metadata"]
+            store.add(name, data.reshape(shape))
+        return store, metadata
     except KeyError as err:
         raise ConfigurationError(f"checkpoint {path} lacks key {err.args[0]!r}") from None
 
@@ -707,8 +703,8 @@ class AdamState:
     v: dict[str, Array] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.lr < 0.0:
-            raise ConfigurationError("learning rate must be >= 0")
+        if not 0.0 <= self.lr < np.inf:
+            raise ConfigurationError(f"lr must be finite and >= 0, got {self.lr}")
 
     @classmethod
     def for_params(cls, params: ParamStore, lr: float) -> "AdamState":

@@ -11,7 +11,9 @@ Two families share one state-derivative contract f(s, t):
   raw state.
 
 Ablation variants reuse the structured assembly with pieces switched
-off.  All three networks are the one dense network of
+off.  A :class:`ModelDescriptor` is a variant and an init seed, and the
+variant alone fixes each network's widths and activation.  All three
+networks are the one dense network of
 :mod:`floatdyn.autodiff`.  ``stream_eval`` pushes psi with its first and
 second input-derivatives through the streamfunction network in one numpy
 pass (``autodiff.mlp_jet``, Taylor mode at d = 2 inputs).  On the tape
@@ -22,7 +24,7 @@ differentiable with respect to both the parameters and the positions.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -52,24 +54,30 @@ CAPS.setflags(write=False)
 
 @dataclass(frozen=True)
 class ModelDescriptor:
-    """Variant name, layer widths, activation and init seed."""
+    """A variant and its init seed, which checkpoints record; the variant
+    fixes the networks' hidden widths and activation."""
 
     variant: str
-    hidden: tuple[int, ...] = (64, 64)
-    activation: str = "tanh"
-    seed: int = 0
+    seed: int
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown variant: {self.variant!r}")
-        if self.activation not in ad.ACTIVATIONS:
-            raise ConfigurationError(f"unknown activation: {self.activation!r}")
-        if self.variant == "relu" and self.activation != "relu":
-            raise ConfigurationError("the relu variant must use the relu activation")
-        if self.variant != "relu" and self.activation == "relu":
-            raise ConfigurationError("only the relu variant uses the relu activation")
-        if self.variant == "shallow" and self.hidden != (16,):
-            raise ConfigurationError("the shallow variant uses one hidden layer of width 16")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed!r}")
+
+    @property
+    def hidden(self) -> tuple[int, ...]:
+        return (16,) if self.variant == "shallow" else (64, 64)
+
+    @property
+    def activation(self) -> str:
+        return "relu" if self.variant == "relu" else "tanh"
+
+    @property
+    def learns_flow(self) -> bool:
+        """Whether the dynamics read the stream network."""
+        return self.variant not in ("neural_ode", "no_flow_field")
 
     @property
     def coeff_widths(self) -> tuple[int, ...]:
@@ -102,21 +110,17 @@ class ModelDescriptor:
         return asdict(self)
 
     @classmethod
-    def from_metadata(cls, meta: Mapping) -> "ModelDescriptor":
-        try:
-            values = {f.name: meta[f.name] for f in fields(cls)}
-        except KeyError as err:
-            raise ConfigurationError(f"model descriptor lacks key {err.args[0]!r}") from None
-        return cls(**{**values, "hidden": tuple(values["hidden"])})
-
-
-def make_descriptor(variant: str, seed: int = 0) -> ModelDescriptor:
-    """Descriptor with the variant's canonical architecture."""
-    if variant == "shallow":
-        return ModelDescriptor(variant, hidden=(16,), seed=seed)
-    if variant == "relu":
-        return ModelDescriptor(variant, activation="relu", seed=seed)
-    return ModelDescriptor(variant, seed=seed)
+    def from_metadata(cls, meta) -> "ModelDescriptor":
+        """Exactly ``{variant, seed}``: a recorded network that the variant
+        does not fix is refused rather than loaded as something else."""
+        if not isinstance(meta, Mapping):
+            raise ConfigurationError(f"model descriptor must be a mapping, got {meta!r}")
+        names = {f.name for f in fields(cls)}
+        odd = sorted(names ^ set(meta))
+        if odd:
+            what = "lacks" if odd[0] in names else "has unknown"
+            raise ConfigurationError(f"model descriptor {what} key {odd[0]!r}")
+        return cls(**meta)
 
 
 def init_params(desc: ModelDescriptor) -> ad.ParamStore:
@@ -132,7 +136,12 @@ def init_params(desc: ModelDescriptor) -> ad.ParamStore:
 
 
 def cap_map(z, caps: Array):
-    """Squash raw outputs into (0, C) per coefficient: C*sigmoid(softplus(z)/C)."""
+    """Squash raw outputs into [C/2, C) per coefficient: C*sigmoid(softplus(z)/C).
+
+    softplus(z) >= 0 and sigmoid(0) = 1/2, so no learned coefficient goes
+    below half its cap.  That floor acts as a prior: a system whose value
+    lies below it is outside the structured model's hypothesis space.
+    """
     return caps * ad.sigmoid(ad.softplus(z) / caps)
 
 
@@ -200,18 +209,19 @@ class DynamicsModel:
     """A dynamics variant bound to its parameters and physical context.
 
     ``body`` and ``fluid`` are the known quantities of the system under
-    identification (dry mass, known external forcing, fluid constants);
-    everything hydrodynamic is either learned (structured variants) or
-    absorbed by the black-box baseline; the learned coefficients are
-    capped at :data:`CAPS`.  ``params`` must hold the tensors of
+    identification (dry mass, known external forcing, fluid constants) and
+    have no default, so a model cannot silently drop a scenario's known
+    force.  Everything hydrodynamic is either learned (structured variants)
+    or absorbed by the black-box baseline; the learned coefficients lie in
+    [CAPS/2, CAPS) (see :func:`cap_map`).  ``params`` must hold the tensors of
     :meth:`ModelDescriptor.param_shapes`, which is checked here.  Roll a
     model out with ``rollout_model(model.derivative, ...)``.
     """
 
     descriptor: ModelDescriptor
     params: ad.ParamStore
-    body: ph.BodyProperties = field(default_factory=ph.BodyProperties)
-    fluid: ph.FluidProperties = field(default_factory=ph.FluidProperties)
+    body: ph.BodyProperties
+    fluid: ph.FluidProperties
     # a known flow substituted for the learned one (plug-in oracles)
     flow_override: object = None
 
@@ -225,8 +235,8 @@ class DynamicsModel:
                 raise ConfigurationError(f"tensor {name!r} has shape {got}, the network needs {shape}")
 
     @classmethod
-    def initialize(cls, variant: str, seed: int = 0, **kwargs) -> "DynamicsModel":
-        desc = make_descriptor(variant, seed=seed)
+    def initialize(cls, variant: str, seed: int, **kwargs) -> "DynamicsModel":
+        desc = ModelDescriptor(variant, seed)
         return cls(descriptor=desc, params=init_params(desc), **kwargs)
 
     def derivative(self, s, t, params: Mapping | None = None, jet=None):
@@ -251,10 +261,8 @@ class DynamicsModel:
 
     def flow_velocity(self, x, y, params: Mapping | None = None):
         """Learned background flow at points; refuses for flow-less variants."""
-        if self.descriptor.variant == "neural_ode":
-            raise ad.UsageError("the black-box baseline has no learned flow field")
-        if self.descriptor.variant == "no_flow_field":
-            raise ad.UsageError("the no_flow_field ablation fixes the flow to zero")
+        if not self.descriptor.learns_flow:
+            raise ad.UsageError(f"the {self.descriptor.variant} variant has no learned flow field")
         p = self.params if params is None else params
         return stream_eval(p, x, y, self.descriptor, order=1).velocity()
 
@@ -302,7 +310,7 @@ def fhnn_derivative(
     if flow_override is not None:
         u = flow_override.velocity(x, y, t)
         ux, uy = u.x, u.y
-    elif desc.variant == "no_flow_field":
+    elif not desc.learns_flow:
         ux, uy = 0.0, 0.0
     else:
         ev = stream_eval(params, x, y, desc, order=1) if jet is None else jet
@@ -368,14 +376,16 @@ def rollout_model(
     single = s.ndim == 1
     if single:
         s = s[None, :]
-    if duration < 0.0:
-        raise ConfigurationError("duration must be >= 0")
+    if s.ndim != 2 or s.shape[1] != 4:
+        raise ConfigurationError(f"rollout states must be (4,) or (N, 4), got {np.shape(s0)}")
+    if not 0.0 <= duration < np.inf:
+        raise ConfigurationError(f"duration must be finite and >= 0, got {duration}")
     if not step > 0.0:
         raise ConfigurationError(f"rollout step must be > 0, got {step}")
     if checkpoints is None:
         checkpoints = [duration]
     cps = np.asarray(sorted(float(c) for c in checkpoints))
-    if len(cps) and (cps[0] < 0.0 or cps[-1] > duration + 1e-12):
+    if len(cps) and not (0.0 <= cps.min() and cps.max() <= duration + 1e-12):
         raise ConfigurationError("checkpoints must lie inside [0, duration]")
     steps_per = np.rint(cps / step).astype(int)
     if not np.allclose(steps_per * step, cps, rtol=0.0, atol=1e-9):

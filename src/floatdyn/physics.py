@@ -91,8 +91,8 @@ class BodyProperties:
     external_force: Callable = zero_force
 
     def __post_init__(self) -> None:
-        if self.mass <= 0.0:
-            raise PhysicalValidityError("dry mass must be > 0")
+        if not 0.0 < self.mass < np.inf:
+            raise PhysicalValidityError(f"dry mass must be finite and > 0, got {self.mass}")
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,10 @@ class FluidProperties:
     eps: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.rho <= 0.0 or self.area <= 0.0 or self.eps <= 0.0:
-            raise PhysicalValidityError("rho, area and eps must all be > 0")
+        for name in ("rho", "area", "eps"):
+            v = getattr(self, name)
+            if not 0.0 < v < np.inf:
+                raise PhysicalValidityError(f"{name} must be finite and > 0, got {v}")
 
 
 # -- flow fields ---------------------------------------------------------------
@@ -325,8 +327,8 @@ class TrueCoefficients:
     def __post_init__(self) -> None:
         for name in ("m_ax", "m_ay", "c_q", "c_l"):
             v = getattr(self, name)
-            if v < 0.0:
-                raise PhysicalValidityError(f"{name} must be >= 0, got {v}")
+            if not 0.0 <= v < np.inf:
+                raise PhysicalValidityError(f"{name} must be finite and >= 0, got {v}")
 
     def at(self, r, sigma):
         m_ax = self.m_ax * (1.0 + RADIAL_AMP * ad.exp(-r)) if self.radial else self.m_ax
@@ -372,8 +374,8 @@ def integrate(
     is not finite raises :class:`IntegrationError` with the step's start
     time and its first non-finite stage.
     """
-    if duration <= 0.0:
-        raise ConfigurationError("duration must be > 0")
+    if not 0.0 < duration < np.inf:
+        raise ConfigurationError(f"duration must be finite and > 0, got {duration}")
     if not h > 0.0:
         raise ConfigurationError(f"step size must be > 0, got {h}")
     if sample_every < 1:
@@ -476,7 +478,10 @@ class Dataset:
         for lineno, line in enumerate(Path(jsonl_path).read_text(encoding="utf-8").splitlines(), 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise ConfigurationError(f"{jsonl_path} line {lineno}: not JSON ({err})") from None
             try:
                 trajectory = Trajectory(
                     traj_id=rec["id"],
@@ -500,7 +505,10 @@ class Dataset:
             trajectories.append(trajectory)
         manifest = {}
         if manifest_path is not None and Path(manifest_path).exists():
-            manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+            try:
+                manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+            except json.JSONDecodeError as err:
+                raise ConfigurationError(f"{manifest_path}: not JSON ({err})") from None
         return cls(trajectories, manifest)
 
 
@@ -623,6 +631,8 @@ def make_scenario(kind: str, params: Mapping | None = None) -> Scenario:
     """Build one of the five ground-truth systems, with overridable params."""
     if kind not in SCENARIO_KINDS:
         raise ConfigurationError(f"unknown scenario kind: {kind!r} (choose from {SCENARIO_KINDS})")
+    if params is not None and not isinstance(params, Mapping):
+        raise ConfigurationError(f"scenario params must be a mapping of name to value, got {params!r}")
     resolved = dict(_COMMON_DEFAULTS)
     resolved.update(_SCENARIO_DEFAULTS[kind])
     for key, value in (params or {}).items():
@@ -639,6 +649,8 @@ def make_scenario(kind: str, params: Mapping | None = None) -> Scenario:
             raise ConfigurationError(
                 f"scenario parameter {key!r} must be of type {kind_of.__name__}, got {value!r}"
             )
+        if kind_of is float and not np.isfinite(converted):
+            raise ConfigurationError(f"scenario parameter {key!r} must be finite, got {value!r}")
         resolved[key] = converted
 
     fluid = FluidProperties(rho=resolved["rho"], area=resolved["area"], eps=resolved["eps"])

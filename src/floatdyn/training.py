@@ -38,8 +38,10 @@ class LossWeights:
     lambda_flow: float = 1e-4
 
     def __post_init__(self) -> None:
-        if min(self.w_deriv, self.w_step, self.lambda_flow) < 0.0:
-            raise ConfigurationError("loss weights must be >= 0")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not 0.0 <= v < np.inf:
+                raise ConfigurationError(f"loss weight {f.name} must be finite and >= 0, got {v}")
 
 
 @dataclass
@@ -61,10 +63,10 @@ class TrainConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self) -> None:
-        if self.epochs < 1 or self.batch_size < 1:
+        if not (self.epochs >= 1 and self.batch_size >= 1):
             raise ConfigurationError("epochs and batch_size must be >= 1")
-        if self.base_lr < 0.0:
-            raise ConfigurationError("base_lr must be >= 0")
+        if not 0.0 <= self.base_lr < np.inf:
+            raise ConfigurationError(f"base_lr must be finite and >= 0, got {self.base_lr}")
 
 
 def learning_rate(config: TrainConfig, epoch: int) -> float:
@@ -123,11 +125,10 @@ def _smoothness(model: DynamicsModel, positions: Array, lambda_flow: float, para
     """The order-2 psi jet at ``positions`` and the Hessian penalty built on it.
 
     Returns (None, 0.0) when the dynamics never read the stream network
-    (``neural_ode``, ``no_flow_field``, a model with ``flow_override``) or
+    (a variant that learns no flow, or a model with ``flow_override``) or
     the penalty has zero weight.
     """
-    no_stream = model.descriptor.variant in ("neural_ode", "no_flow_field")
-    if no_stream or model.flow_override is not None or lambda_flow == 0.0:
+    if not model.descriptor.learns_flow or model.flow_override is not None or lambda_flow == 0.0:
         return None, 0.0
     p = model.params if params is None else params
     jet = stream_eval(p, positions[:, 0], positions[:, 1], model.descriptor, order=2)

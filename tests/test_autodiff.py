@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -177,21 +178,16 @@ def test_linear_and_tanh_backward_examples():
 
 def test_relu_prime_is_relu_step_with_zero_adjoint():
     z = np.array([-1.5, -0.0, 0.0, 1e-300, 0.3, 2.0, -2e-12])
-
-    tape = ad.Tape()
-    v = tape.leaf(z)
-    step = ad.relu_prime(v)
-    assert len(tape) == 1
-    assert np.array_equal(step, ad.relu_prime(z))
-    assert np.array_equal(step, np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0]))
-    assert np.array_equal(ad.activation_value_and_base("relu", z)[0], z * ad.relu_prime(z))
+    step = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0])
+    value, base = ad.activation_value_and_base("relu", z)
+    assert np.array_equal(base, step)
+    assert np.array_equal(value, z * step)
 
     # identity weights and zero biases: the network is relu applied elementwise
+    tape = ad.Tape()
+    v = tape.leaf(z)
     eye = ad.ParamStore({"W0": np.eye(7), "b0": np.zeros(7), "W1": np.eye(7), "b1": np.zeros(7)})
     ad.backward(tape, ad.vsum(ad.forward_mlp(eye, v, (7, 7, 7), "relu")))
-    assert np.array_equal(tape.adjoint(v), step)
-
-    ad.backward(tape, ad.vsum(ad.relu_prime(v) * v))
     assert np.array_equal(tape.adjoint(v), step)
 
 
@@ -292,7 +288,7 @@ def _jet(params, a, activation, order, saves=None):
 
 
 @pytest.mark.parametrize("order", [1, 2])
-@pytest.mark.parametrize("activation", ["tanh", "softplus"])
+@pytest.mark.parametrize("activation", ["tanh"])
 def test_mlp_jet_channels_match_central_differences_at_three_inputs(activation, order):
     # a channel of order k is the central difference of one of order k - 1:
     # d/da_k of the value, and for the pair (i, j) d/da_i of the d/da_j channel
@@ -316,7 +312,7 @@ def test_mlp_jet_channels_match_central_differences_at_three_inputs(activation, 
 
 
 @pytest.mark.parametrize("order", [1, 2])
-@pytest.mark.parametrize("activation", ["tanh", "softplus"])
+@pytest.mark.parametrize("activation", ["tanh"])
 def test_mlp_jet_vjp_matches_finite_differences_at_three_inputs(activation, order):
     rng = np.random.default_rng(29)
     params = {**_jet_params(rng), "a": rng.uniform(-1.0, 1.0, size=(4, 3))}
@@ -344,7 +340,7 @@ def test_relu_activation_value_is_max_with_zero():
     value, base = ad.activation_value_and_base("relu", z)
     assert np.array_equal(value, [0.0, 0.0, 0.0, 0.0, 2.0, np.inf])
     assert not np.signbit(value).any()
-    assert np.array_equal(base, ad.relu_prime(z))
+    assert np.array_equal(base, [0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
 
     store = ad.ParamStore({"W0": [[1.0]], "b0": [0.0], "W1": [[1.0]], "b1": [0.0]})
     x = np.array([[-np.inf]])
@@ -446,9 +442,17 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
 
 def test_checkpoint_rejects_foreign_json(tmp_path):
     path = tmp_path / "other.json"
-    for foreign in ({"hello": 1}, [1, 2]):
-        path.write_text(json.dumps(foreign))
-        with pytest.raises(ad.ConfigurationError):
+    header = {"format": ad.CHECKPOINT_FORMAT, "metadata": {}}
+    texts = [
+        json.dumps({"hello": 1}),
+        json.dumps([1, 2]),
+        '{"format": "floatdyn-',  # not JSON
+        json.dumps({**header, "tensors": [1]}),
+        json.dumps({**header, "tensors": {"w": 1}}),
+    ]
+    for text in texts:
+        path.write_text(text)
+        with pytest.raises(ad.ConfigurationError, match=re.escape(str(path))):
             ad.load_checkpoint(path)
 
 
@@ -474,6 +478,8 @@ def test_checkpoint_tensor_size_mismatch_names_the_tensor(tmp_path):
         ("shape", [3], "'w' has 2 values for shape \\[3\\]"),
         ("data", [[1.0], [2.0, 3.0]], "'w' data is not a list of numbers"),  # ragged
         ("data", "ab", "'w' data is not a list of numbers"),
+        ("shape", [2.5], "'w' shape \\[2.5\\] is not a list of sizes"),
+        ("shape", "ab", "'w' shape 'ab' is not a list of sizes"),
     ]
     for key, value, message in bad_entries:
         payload = json.loads(json.dumps(saved))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -9,7 +10,9 @@ from floatdyn import autodiff as ad
 from floatdyn import model as md
 from floatdyn import physics as ph
 from floatdyn.autodiff import ConfigurationError
-from oracles import fd_gradient, grad_mismatches, plugin_truth_model
+from oracles import fd_gradient, grad_mismatches, plugin_truth_model, sample_coords
+
+VORTEX = ph.make_scenario("steady_vortex")
 
 # -- cap map -------------------------------------------------------------------
 
@@ -28,6 +31,11 @@ def test_cap_map_zero_input_value():
     # frozen oracle: 2*sigmoid(ln(2)/2) = 2/(1 + 2**-0.5)
     out = np.asarray(md.cap_map(np.array([[0.0]]), np.array([2.0])))[0, 0]
     assert out == pytest.approx(1.1715728752538097, abs=1e-12)
+
+
+def test_cap_map_floor_is_half_the_cap():
+    # softplus(z) >= 0 and sigmoid(0) = 1/2, so the image is [C/2, C)
+    assert np.array_equal(md.cap_map(-1e3, md.CAPS), md.CAPS / 2)
 
 
 def test_cap_map_outputs_strictly_inside_zero_cap():
@@ -89,7 +97,7 @@ def test_coefficients_identical_under_state_rotation():
 
 
 def test_stream_eval_zero_weights_is_constant_bias():
-    desc = md.make_descriptor("fhnn")
+    desc = md.ModelDescriptor("fhnn", 0)
     params = md.init_params(desc)
     for name in params.names():
         params[name] = np.zeros_like(params[name])
@@ -104,7 +112,7 @@ def test_stream_eval_zero_weights_is_constant_bias():
 
 @pytest.mark.parametrize("variant", ["fhnn", "shallow", "relu"])
 def test_stream_gradients_match_finite_differences(variant):
-    desc = md.make_descriptor(variant, seed=5)
+    desc = md.ModelDescriptor(variant, 5)
     params = md.init_params(desc)
     rng = np.random.default_rng(1)
     pts = rng.uniform(-2.0, 2.0, size=(12, 2))
@@ -139,7 +147,7 @@ def test_stream_gradients_match_finite_differences(variant):
 
 
 def test_stream_hessian_equals_jacobian_of_gradient():
-    desc = md.make_descriptor("fhnn", seed=7)
+    desc = md.ModelDescriptor("fhnn", 7)
     params = md.init_params(desc)
     rng = np.random.default_rng(2)
     pts = rng.uniform(-1.5, 1.5, size=(8, 2))
@@ -158,7 +166,7 @@ def test_stream_hessian_equals_jacobian_of_gradient():
 
 def test_learned_velocity_field_is_divergence_free_for_any_weights():
     for seed in range(3):
-        desc = md.make_descriptor("fhnn", seed=seed)
+        desc = md.ModelDescriptor("fhnn", seed)
         params = md.init_params(desc)
 
         def velocity(x, y, t=0.0):
@@ -173,10 +181,10 @@ def test_learned_velocity_field_is_divergence_free_for_any_weights():
 
 # -- the fused stream node ---------------------------------------------------------
 
+# the stream networks of the fhnn and relu variants, keyed by activation
 STREAM_DESCRIPTORS = {
-    "tanh": md.ModelDescriptor("fhnn", hidden=(6, 5), activation="tanh", seed=3),
-    "softplus": md.ModelDescriptor("fhnn", hidden=(6, 5), activation="softplus", seed=3),
-    "relu": md.ModelDescriptor("relu", hidden=(6, 5), activation="relu", seed=3),
+    "tanh": md.ModelDescriptor("fhnn", 3),
+    "relu": md.ModelDescriptor("relu", 3),
 }
 
 
@@ -196,7 +204,7 @@ def _jet(ev, order):
 
 
 @pytest.mark.parametrize("order", [1, 2])
-@pytest.mark.parametrize("activation", ["tanh", "softplus", "relu"])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_stream_node_vjp_matches_finite_differences(activation, order):
     desc = STREAM_DESCRIPTORS[activation]
     rng = np.random.default_rng(17)
@@ -215,7 +223,8 @@ def test_stream_node_vjp_matches_finite_differences(activation, order):
     root = sum(ad.vsum(w * c) for w, c in zip(weights, _jet(ev, order)))
     ad.backward(tape, root)
     got = ad.parameter_gradients(tape, leaves)
-    want = fd_gradient(f, {**params, "x": x0, "y": y0})
+    at = {**params, "x": x0, "y": y0}
+    want = fd_gradient(f, at, coords=sample_coords(at, np.random.default_rng(19), per_tensor=64))
     bad = grad_mismatches(got, want, rel_tol=1e-5, abs_floor=1e-9)
     assert not bad, bad
 
@@ -248,7 +257,7 @@ def test_tape_mode_forward_equals_numpy_mode_bitwise(variant):
 
 @pytest.mark.parametrize("order, limit", [(1, 4), (2, 7)])
 def test_stream_eval_records_one_node_plus_columns(order, limit):
-    desc = md.make_descriptor("fhnn", seed=1)
+    desc = md.ModelDescriptor("fhnn", 1)
     params = md.init_params(desc)
     tape = ad.Tape()
     leaves = params.as_leaves(tape)
@@ -263,7 +272,7 @@ def test_stream_eval_records_one_node_plus_columns(order, limit):
 def _mixed_tape_op(op):
     """Run ``op`` with the parameters on one tape and an input on another."""
     first, second = ad.Tape(), ad.Tape()
-    desc = md.make_descriptor("fhnn", seed=1)
+    desc = md.ModelDescriptor("fhnn", 1)
     leaves = md.init_params(desc).as_leaves(first)
     pts = second.leaf([[0.2, 1.0], [-0.4, 0.5]])
     if op == "stack_last":
@@ -338,7 +347,7 @@ def test_ablation_switches_zero_out_the_right_pieces():
     base = md.DynamicsModel.initialize("fhnn", seed=6, body=scenario.body, fluid=scenario.fluid)
 
     no_mass = md.DynamicsModel(
-        descriptor=md.make_descriptor("no_added_mass", seed=6),
+        descriptor=md.ModelDescriptor("no_added_mass", 6),
         params=base.params.copy(),
         body=scenario.body,
         fluid=scenario.fluid,
@@ -349,7 +358,7 @@ def test_ablation_switches_zero_out_the_right_pieces():
     assert np.all(np.abs(a_nm) > np.abs(a_full))
 
     no_flow = md.DynamicsModel(
-        descriptor=md.make_descriptor("no_flow_field", seed=6),
+        descriptor=md.ModelDescriptor("no_flow_field", 6),
         params=base.params.copy(),
         body=scenario.body,
         fluid=scenario.fluid,
@@ -359,7 +368,7 @@ def test_ablation_switches_zero_out_the_right_pieces():
 
 
 def test_neural_ode_zero_weights_keeps_kinematics_only():
-    desc = md.make_descriptor("neural_ode")
+    desc = md.ModelDescriptor("neural_ode", 0)
     params = md.init_params(desc)
     for name in params.names():
         params[name] = np.zeros_like(params[name])
@@ -369,8 +378,8 @@ def test_neural_ode_zero_weights_keeps_kinematics_only():
 
 
 def test_same_seed_gives_identical_models():
-    a = md.DynamicsModel.initialize("neural_ode", seed=9)
-    b = md.DynamicsModel.initialize("neural_ode", seed=9)
+    a = md.DynamicsModel.initialize("neural_ode", seed=9, body=VORTEX.body, fluid=VORTEX.fluid)
+    b = md.DynamicsModel.initialize("neural_ode", seed=9, body=VORTEX.body, fluid=VORTEX.fluid)
     s = np.array([[0.4, -0.2, 0.1, 0.3]])
     assert np.array_equal(np.asarray(a.derivative(s, 0.0)), np.asarray(b.derivative(s, 0.0)))
 
@@ -379,7 +388,7 @@ def test_same_seed_gives_identical_models():
 
 
 def test_rollout_zero_duration_returns_initial_state():
-    m = md.DynamicsModel.initialize("fhnn", seed=1)
+    m = md.DynamicsModel.initialize("fhnn", seed=1, body=VORTEX.body, fluid=VORTEX.fluid)
     s0 = np.array([1.0, 2.0, 0.1, -0.1])
     out = md.rollout_model(m.derivative, s0, 0.0)
     assert out.states.shape == (1, 4)
@@ -463,11 +472,18 @@ def test_rollout_freezes_diverging_rows_and_leaves_the_rest_alone(rows):
 
 
 def test_rollout_rejects_nonpositive_step():
-    m = md.DynamicsModel.initialize("fhnn", seed=1)
+    m = md.DynamicsModel.initialize("fhnn", seed=1, body=VORTEX.body, fluid=VORTEX.fluid)
     s0 = np.array([1.0, 2.0, 0.1, -0.1])
     for step in (0.0, -0.01):
         with pytest.raises(ConfigurationError, match="rollout step must be > 0"):
             md.rollout_model(m.derivative, s0, 1.0, step=step)
+
+
+def test_rollout_rejects_states_that_are_not_four_wide():
+    m = md.DynamicsModel.initialize("fhnn", seed=1, body=VORTEX.body, fluid=VORTEX.fluid)
+    for s0 in (np.zeros(3), np.zeros((2, 3)), np.zeros((2, 2, 4))):
+        with pytest.raises(ConfigurationError, match="rollout states must be"):
+            md.rollout_model(m.derivative, s0, 1.0)
 
 
 def test_rollout_checkpoint_equals_integrate_sample_bitwise():
@@ -511,28 +527,31 @@ def test_rotation_equivariance_with_tied_masses_and_radial_flow():
 
 
 def test_descriptor_validation():
-    with pytest.raises(ConfigurationError):
-        md.ModelDescriptor("fancy_net")
-    with pytest.raises(ConfigurationError):
-        md.ModelDescriptor("fhnn", activation="relu")
-    with pytest.raises(ConfigurationError):
-        md.ModelDescriptor("relu", activation="tanh")
-    with pytest.raises(ConfigurationError):
-        md.ModelDescriptor("shallow", hidden=(64, 64))
-    assert md.make_descriptor("shallow").hidden == (16,)
-    assert md.make_descriptor("relu").activation == "relu"
+    with pytest.raises(ConfigurationError, match="unknown variant"):
+        md.ModelDescriptor("fancy_net", 0)
+    for seed in ("x", -1, 1.5):
+        with pytest.raises(ConfigurationError, match="seed must be an integer"):
+            md.ModelDescriptor.from_metadata({"variant": "fhnn", "seed": seed})
+    assert [f.name for f in dataclasses.fields(md.ModelDescriptor)] == ["variant", "seed"]
+    for variant in md.VARIANTS:
+        desc = md.ModelDescriptor(variant, 4)
+        assert desc.hidden == ((16,) if variant == "shallow" else (64, 64))
+        assert desc.activation == ("relu" if variant == "relu" else "tanh")
+        assert desc.learns_flow == (variant not in ("neural_ode", "no_flow_field"))
+        assert desc.to_metadata() == {"variant": variant, "seed": 4}
+        assert md.ModelDescriptor.from_metadata(desc.to_metadata()) == desc
 
 
 def test_checkpoint_roundtrip_and_variant_refusal(tmp_path):
-    m = md.DynamicsModel.initialize("no_linear_drag", seed=5)
+    m = md.DynamicsModel.initialize("no_linear_drag", seed=5, body=VORTEX.body, fluid=VORTEX.fluid)
     path = tmp_path / "model.json"
     m.save(path)
-    back = md.DynamicsModel.load(path)
+    back = md.DynamicsModel.load(path, body=VORTEX.body, fluid=VORTEX.fluid)
     assert back.descriptor == m.descriptor
     for name, value in m.params.items():
         assert np.array_equal(back.params[name], value)
     with pytest.raises(ConfigurationError):
-        md.DynamicsModel.load(path, expected_variant="fhnn")
+        md.DynamicsModel.load(path, expected_variant="fhnn", body=VORTEX.body, fluid=VORTEX.fluid)
 
 
 @pytest.mark.parametrize(
@@ -545,14 +564,17 @@ def test_checkpoint_roundtrip_and_variant_refusal(tmp_path):
             r"'stream.W1' has shape \(64, 63\), the network needs \(64, 64\)",
         ),
         (lambda p: p["tensors"].pop("coeff.b0"), "lack tensor 'coeff.b0'"),
+        (lambda p: p["metadata"].update(descriptor="fhnn"), "descriptor must be a mapping, got 'fhnn'"),
+        # an older checkpoint recording a network that the variant does not fix
+        (lambda p: p["metadata"]["descriptor"].update(activation="softplus"), "unknown key 'activation'"),
     ],
-    ids=["no_descriptor", "no_seed", "wrong_shape", "missing_tensor"],
+    ids=["no_descriptor", "no_seed", "wrong_shape", "missing_tensor", "descriptor_not_mapping", "extra_key"],
 )
 def test_checkpoint_load_names_what_does_not_fit(tmp_path, edit, message):
     path = tmp_path / "model.json"
-    md.DynamicsModel.initialize("fhnn", seed=5).save(path)
+    md.DynamicsModel.initialize("fhnn", seed=5, body=VORTEX.body, fluid=VORTEX.fluid).save(path)
     payload = json.loads(path.read_text())
     edit(payload)
     path.write_text(json.dumps(payload))
     with pytest.raises(ConfigurationError, match=message):
-        md.DynamicsModel.load(path)
+        md.DynamicsModel.load(path, body=VORTEX.body, fluid=VORTEX.fluid)

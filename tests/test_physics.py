@@ -404,6 +404,8 @@ def test_unknown_scenario_and_parameter_rejected():
         ph.make_scenario("tsunami")
     with pytest.raises(ConfigurationError):
         ph.make_scenario("steady_vortex", {"vorticity": 2.0})
+    with pytest.raises(ConfigurationError, match="params must be a mapping"):
+        ph.make_scenario("steady_vortex", [("omega", 1.0)])
     bad_values = [
         ("steady_vortex", "omega", "abc"),
         ("steady_vortex", "omega", [1.0]),
@@ -566,6 +568,9 @@ def test_dataset_load_names_a_missing_key_and_its_line(tmp_path):
         (tmp_path / "data.jsonl").write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
         with pytest.raises(ConfigurationError, match=message):
             ph.Dataset.load(tmp_path / "data.jsonl")
+    (tmp_path / "data.jsonl").write_text("\n".join([lines[0], lines[1][:-1]]) + "\n")
+    with pytest.raises(ConfigurationError, match="line 2: not JSON"):
+        ph.Dataset.load(tmp_path / "data.jsonl")
 
 
 @pytest.mark.parametrize("key", ["states", "derivs"])

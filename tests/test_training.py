@@ -14,6 +14,8 @@ from floatdyn import training as tr
 from floatdyn.autodiff import ConfigurationError
 from oracles import fd_gradient, grad_mismatches, plugin_truth_model, sample_coords
 
+VORTEX = ph.make_scenario("steady_vortex")
+
 
 @pytest.fixture(scope="module")
 def vortex_dataset():
@@ -79,11 +81,11 @@ def test_loss_derivative_invariant_under_batch_duplication(vortex_dataset):
 
 
 def test_loss_step_reduces_to_state_gap_for_zero_derivative():
-    desc = md.make_descriptor("neural_ode")
+    desc = md.ModelDescriptor("neural_ode", 0)
     params = md.init_params(desc)
     for name in params.names():
         params[name] = np.zeros_like(params[name])
-    m = md.DynamicsModel(descriptor=desc, params=params)
+    m = md.DynamicsModel(descriptor=desc, params=params, body=VORTEX.body, fluid=VORTEX.fluid)
     rng = np.random.default_rng(0)
     states = np.concatenate([rng.normal(size=(8, 2)), np.zeros((8, 2))], axis=1)
     nexts = np.concatenate([rng.normal(size=(8, 2)), np.zeros((8, 2))], axis=1)
@@ -123,7 +125,7 @@ def test_loss_step_gradient_matches_finite_differences(vortex_dataset):
 
 
 def test_loss_smooth_zero_for_zero_stream_weights():
-    m = md.DynamicsModel.initialize("fhnn", seed=4)
+    m = md.DynamicsModel.initialize("fhnn", seed=4, body=VORTEX.body, fluid=VORTEX.fluid)
     for name in m.params.names():
         if name.startswith("stream."):
             m.params[name] = np.zeros_like(m.params[name])
@@ -131,34 +133,32 @@ def test_loss_smooth_zero_for_zero_stream_weights():
     assert _l_smooth(m, pts, 1.0) == 0.0
 
 
-def test_loss_smooth_quadratic_streamfunction_value():
-    # softplus units crafted so psi ~ 0.5(x^2+y^2): ||H||_F^2 = 2 per point
-    eps = 1e-4
-    desc = md.ModelDescriptor("fhnn", hidden=(2,), activation="softplus")
-    params = ad.ParamStore()
-    params.add("stream.W0", eps * np.eye(2))
-    params.add("stream.b0", np.zeros(2))
-    params.add("stream.W1", np.full((1, 2), 4.0 / eps**2))
-    params.add("stream.b1", np.zeros(1))
-    for i in range(2):
-        params.add(f"coeff.W{i}", np.zeros((2 if i == 0 else 4, 2)))
-        params.add(f"coeff.b{i}", np.zeros(2 if i == 0 else 4))
-    m = md.DynamicsModel(descriptor=desc, params=params)
+def test_loss_smooth_value_matches_central_differences():
+    # lambda * mean ||H||_F^2, H the central differences of the fhnn stream
+    # network's order-1 gradient channels
+    m = md.DynamicsModel.initialize("fhnn", seed=8, body=VORTEX.body, fluid=VORTEX.fluid)
     pts = np.random.default_rng(2).uniform(-2, 2, size=(20, 2))
+    h = 1e-5
+
+    def grad(p):
+        ev = md.stream_eval(m.params, p[:, 0], p[:, 1], m.descriptor, order=1)
+        return np.stack([ev.gx, ev.gy], axis=1)
+
+    hess = np.stack([(grad(pts + h * e) - grad(pts - h * e)) / (2 * h) for e in np.eye(2)], axis=2)
     lam = 1e-3
     got = _l_smooth(m, pts, lam)
-    assert got == pytest.approx(lam * 2.0, rel=1e-6)
+    assert got == pytest.approx(lam * np.mean(np.sum(hess**2, axis=(1, 2))), rel=1e-6)
 
 
 def test_loss_smooth_zero_weight_lambda(vortex_dataset):
     scenario, _ = vortex_dataset
-    m = md.DynamicsModel.initialize("fhnn", seed=5)
+    m = md.DynamicsModel.initialize("fhnn", seed=5, body=scenario.body, fluid=scenario.fluid)
     pts = np.random.default_rng(3).normal(size=(6, 2))
     assert _l_smooth(m, pts, 0.0) == 0.0
 
 
 def test_loss_smooth_vanishes_for_relu_variant():
-    m = md.DynamicsModel.initialize("relu", seed=6)
+    m = md.DynamicsModel.initialize("relu", seed=6, body=VORTEX.body, fluid=VORTEX.fluid)
     pts = np.random.default_rng(4).normal(size=(6, 2))
     assert _l_smooth(m, pts, 1.0) == 0.0
 
@@ -313,6 +313,40 @@ def test_learning_rate_schedule_is_piecewise():
     assert tr.learning_rate(config, 1499) == 5e-4
     assert tr.learning_rate(config, 1500) == 2.5e-4
     assert tr.learning_rate(config, 2000) == 2.5e-4
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build, error, name",
+    [
+        (lambda: ph.BodyProperties(mass=NAN), ph.PhysicalValidityError, "mass"),
+        (lambda: ph.FluidProperties(rho=NAN), ph.PhysicalValidityError, "rho"),
+        (lambda: ph.FluidProperties(area=np.inf), ph.PhysicalValidityError, "area"),
+        (lambda: ph.TrueCoefficients(36.0, NAN, 1.2, 6.0, radial=False), ph.PhysicalValidityError, "m_ay"),
+        (lambda: ph.make_scenario("steady_vortex", {"m_ax": NAN}), ConfigurationError, "m_ax"),
+        (lambda: ph.make_scenario("steady_vortex", {"omega": -np.inf}), ConfigurationError, "omega"),
+        (lambda: tr.LossWeights(w_deriv=NAN), ConfigurationError, "w_deriv"),
+        (lambda: tr.TrainConfig(base_lr=NAN), ConfigurationError, "base_lr"),
+        (lambda: tr.TrainConfig(epochs=NAN), ConfigurationError, "epochs"),
+        (lambda: ad.AdamState(lr=NAN), ConfigurationError, "lr"),
+        (lambda: ph.integrate(lambda s, t: -s, np.ones(4), 0.0, NAN, 0.1), ConfigurationError, "duration"),
+        (lambda: md.rollout_model(lambda s, t: -s, np.ones(4), NAN), ConfigurationError, "duration"),
+        (
+            lambda: md.rollout_model(lambda s, t: -s, np.ones(4), 1.0, checkpoints=[0.5, NAN]),
+            ConfigurationError,
+            "checkpoints",
+        ),
+    ],
+    ids=[
+        "mass", "rho", "area_inf", "m_ay", "scenario_m_ax", "scenario_omega_inf", "w_deriv", "base_lr",
+        "epochs", "adam_lr", "integrate_duration", "rollout_duration", "rollout_checkpoint",
+    ],
+)
+def test_non_finite_value_is_refused_naming_it(build, error, name):
+    with pytest.raises(error, match=name):
+        build()
 
 
 def test_train_config_validation():
