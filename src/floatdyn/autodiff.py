@@ -7,8 +7,9 @@ adjoint to one adjoint per parent; :func:`record` adds a node whose
 parents are the Var operands of an operation.  A callback captures
 arrays and shapes, never a Var, so a tape is freed by reference counting.
 The Adam optimizer lives here too, and so does the one dense
-network: :func:`mlp_jet` pushes its value and, in Taylor mode, its first
-and second input-derivatives over d inputs through it in numpy, and
+network, on weight and bias lists (parameter names are the model's):
+:func:`mlp_jet` pushes its value and, in Taylor mode, its first and
+second input-derivatives over d inputs through it in numpy, and
 :func:`mlp_jet_vjp` is its reverse sweep.  :func:`forward_mlp` is order 0
 of that jet and ``model.stream_eval`` order 1 or 2 at d = 2; on the tape
 each is one :func:`jet_node`.  So the rest of the package can
@@ -34,8 +35,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 Array = np.ndarray
-
-ACTIVATIONS = ("tanh", "relu")
 
 
 class ConfigurationError(ValueError):
@@ -215,11 +214,6 @@ def _is_var(x) -> bool:
 
 def _value(x) -> Array:
     return x.value if _is_var(x) else _const(x)
-
-
-def _operand(x):
-    """A Var as it is, anything else as a float64 array."""
-    return x if _is_var(x) else _const(x)
 
 
 # -- elementwise functions (dispatch Var / numpy) --------------------------
@@ -634,55 +628,15 @@ def jet_node(positions: Sequence, weights: Sequence, biases: Sequence, activatio
     return record(value[0] if lifted else value, operands, vjp)
 
 
-def forward_mlp(params: Mapping, x, layer_widths: Sequence[int], activation: str, prefix: str = ""):
-    """Run a dense network ``layer_widths[0] -> ... -> layer_widths[-1]``.
+def forward_mlp(weights: Sequence, biases: Sequence, x, activation: str):
+    """Order 0 of :func:`jet_node`: the dense network's value at (N, in) or (in,) inputs.
 
-    Weights are looked up as ``{prefix}W{i}`` with shape (out, in) and
-    biases as ``{prefix}b{i}``.  This is order 0 of :func:`mlp_jet`, on
-    (N, in) or (in,) inputs.  Works on the tape (Var params/input) and on
-    plain arrays alike; in tape mode the whole network is one
-    :func:`jet_node`, which keeps training fast.
+    Weights are (out, in), one per layer; their shapes are the caller's to
+    check.  On the tape (Var weights or input) the whole network is one
+    node, which keeps training fast.
     """
-    if activation not in ACTIVATIONS:
-        raise ConfigurationError(f"unknown activation: {activation!r}")
-    n_layers = len(layer_widths) - 1
-    if n_layers < 1:
-        raise ConfigurationError("layer_widths must describe at least one layer")
-    x = _operand(x)
-    if x.ndim not in (1, 2):
-        raise ConfigurationError(f"forward_mlp expects 1-D/2-D input, got {x.ndim}-D")
-    if x.shape[-1] != layer_widths[0]:
-        raise ConfigurationError(
-            f"input width {x.shape[-1]} != expected {layer_widths[0]}"
-        )
-    weights = [_operand(params[f"{prefix}W{i}"]) for i in range(n_layers)]
-    biases = [_operand(params[f"{prefix}b{i}"]) for i in range(n_layers)]
-    for i in range(n_layers):
-        expected = (layer_widths[i + 1], layer_widths[i])
-        if weights[i].shape != expected:
-            raise ConfigurationError(
-                f"{prefix}W{i} has shape {weights[i].shape}, expected {expected}"
-            )
-        if biases[i].shape != (layer_widths[i + 1],):
-            raise ConfigurationError(
-                f"{prefix}b{i} has shape {biases[i].shape}, expected {(layer_widths[i + 1],)}"
-            )
     out = jet_node([x], weights, biases, activation)
     return out if _is_var(out) else out[0]
-
-
-def init_mlp_params(
-    store: ParamStore,
-    layer_widths: Sequence[int],
-    rng: np.random.Generator,
-    prefix: str = "",
-) -> None:
-    """Glorot-uniform weights (+/- sqrt(6/(fan_in+fan_out))), zero biases."""
-    for i in range(len(layer_widths) - 1):
-        fan_in, fan_out = layer_widths[i], layer_widths[i + 1]
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        store.add(f"{prefix}W{i}", rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        store.add(f"{prefix}b{i}", np.zeros(fan_out))
 
 
 # -- Adam ---------------------------------------------------------------------

@@ -12,12 +12,14 @@ Two families share one state-derivative contract f(s, t):
 
 Ablation variants reuse the structured assembly with pieces switched
 off.  A :class:`ModelDescriptor` is a variant and an init seed, and the
-variant alone fixes each network's widths and activation.  All three
-networks are the one dense network of
-:mod:`floatdyn.autodiff`.  ``stream_eval`` pushes psi with its first and
-second input-derivatives through the streamfunction network in one numpy
-pass (``autodiff.mlp_jet``, Taylor mode at d = 2 inputs).  On the tape
-that pass is one node whose backward is ``autodiff.mlp_jet_vjp``, so the
+variant alone fixes each network's widths and activation, which
+:meth:`ModelDescriptor.param_shapes` names: no other module knows a
+parameter name.  Each network is the dense network of
+:mod:`floatdyn.autodiff`, handed its weight and bias lists.
+``stream_eval`` pushes psi with its first and second input-derivatives
+through the streamfunction network in one numpy pass
+(``autodiff.mlp_jet``, Taylor mode at d = 2 inputs).  On the tape that
+pass is one node whose backward is ``autodiff.mlp_jet_vjp``, so the
 flow, its divergence-free construction and the Hessian penalty are all
 differentiable with respect to both the parameters and the positions.
 """
@@ -79,28 +81,21 @@ class ModelDescriptor:
         """Whether the dynamics read the stream network."""
         return self.variant not in ("neural_ode", "no_flow_field")
 
-    @property
-    def coeff_widths(self) -> tuple[int, ...]:
-        return (2, *self.hidden, 4)
-
-    @property
-    def stream_widths(self) -> tuple[int, ...]:
-        return (2, *self.hidden, 1)
-
-    @property
-    def node_widths(self) -> tuple[int, ...]:
-        return (4, *self.hidden, 2)
-
-    def networks(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
-        """(parameter name prefix, layer widths) of each network, in draw order."""
+    def networks(self) -> dict[str, tuple[int, ...]]:
+        """Layer widths of each network the dynamics read, by parameter-name
+        prefix, in draw order."""
         if self.variant == "neural_ode":
-            return (("node.", self.node_widths),)
-        return (("coeff.", self.coeff_widths), ("stream.", self.stream_widths))
+            return {"node.": (4, *self.hidden, 2)}
+        nets = {"coeff.": (2, *self.hidden, 4)}
+        if self.learns_flow:
+            nets["stream."] = (2, *self.hidden, 1)
+        return nets
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        """Name and shape of every parameter tensor the networks read."""
+        """Name and shape of every parameter tensor, in draw order: weights
+        ``{prefix}W{i}`` (out, in) and biases ``{prefix}b{i}``."""
         shapes = {}
-        for prefix, widths in self.networks():
+        for prefix, widths in self.networks().items():
             for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
                 shapes[f"{prefix}W{i}"] = (fan_out, fan_in)
                 shapes[f"{prefix}b{i}"] = (fan_out,)
@@ -124,12 +119,23 @@ class ModelDescriptor:
 
 
 def init_params(desc: ModelDescriptor) -> ad.ParamStore:
-    """Seeded Glorot-uniform weights, zero biases, fixed draw order."""
+    """Seeded Glorot-uniform weights, uniform in +/- sqrt(6/(in+out)), and
+    zero biases, drawn in the order of :meth:`ModelDescriptor.param_shapes`."""
     rng = np.random.default_rng(desc.seed)
     store = ad.ParamStore()
-    for prefix, widths in desc.networks():
-        ad.init_mlp_params(store, widths, rng, prefix=prefix)
+    for name, shape in desc.param_shapes().items():
+        if len(shape) == 1:  # a bias
+            store.add(name, np.zeros(shape))
+        else:
+            bound = np.sqrt(6.0 / sum(shape))
+            store.add(name, rng.uniform(-bound, bound, size=shape))
     return store
+
+
+def _layers(params: Mapping, prefix: str, desc: ModelDescriptor) -> tuple[list, list]:
+    """The weights and the biases of one network, in layer order."""
+    n = len(desc.hidden) + 1
+    return [params[f"{prefix}W{i}"] for i in range(n)], [params[f"{prefix}b{i}"] for i in range(n)]
 
 
 # -- coefficient network --------------------------------------------------------
@@ -147,7 +153,7 @@ def cap_map(z, caps: Array):
 
 def coefficient_net(params: Mapping, features, desc: ModelDescriptor):
     """Coefficients from (r, sigma) features, capped at CAPS, shape (..., 4)."""
-    raw = ad.forward_mlp(params, features, desc.coeff_widths, desc.activation, prefix="coeff.")
+    raw = ad.forward_mlp(*_layers(params, "coeff.", desc), features, desc.activation)
     return cap_map(raw, CAPS)
 
 
@@ -192,10 +198,7 @@ def stream_eval(params: Mapping, x, y, desc: ModelDescriptor, order: int = 2) ->
         raise ConfigurationError(f"stream_eval expects scalar or 1-D positions, got {ndim}-D")
     if (isinstance(x, ad.Var) or isinstance(y, ad.Var)) and np.shape(x) != np.shape(y):
         raise ConfigurationError("Var positions need x and y of one shape")
-    n_layers = len(desc.stream_widths) - 1
-    weights = [params[f"stream.W{i}"] for i in range(n_layers)]
-    biases = [params[f"stream.b{i}"] for i in range(n_layers)]
-    jet = ad.jet_node([x, y], weights, biases, desc.activation, order)
+    jet = ad.jet_node([x, y], *_layers(params, "stream.", desc), desc.activation, order)
     if isinstance(jet, ad.Var):
         return StreamEval(*[ad.take_col(jet, k) for k in range(jet.shape[-1])])
     return StreamEval(*[c[..., 0] for c in jet])
@@ -213,8 +216,8 @@ class DynamicsModel:
     have no default, so a model cannot silently drop a scenario's known
     force.  Everything hydrodynamic is either learned (structured variants)
     or absorbed by the black-box baseline; the learned coefficients lie in
-    [CAPS/2, CAPS) (see :func:`cap_map`).  ``params`` must hold the tensors of
-    :meth:`ModelDescriptor.param_shapes`, which is checked here.  Roll a
+    [CAPS/2, CAPS) (see :func:`cap_map`).  ``params`` must hold exactly the
+    tensors of :meth:`ModelDescriptor.param_shapes`, which is checked here.  Roll a
     model out with ``rollout_model(model.derivative, ...)``.
     """
 
@@ -233,6 +236,9 @@ class DynamicsModel:
             if self.params[name].shape != shape:
                 got = self.params[name].shape
                 raise ConfigurationError(f"tensor {name!r} has shape {got}, the network needs {shape}")
+        extra = sorted(set(self.params.names()) - set(shapes))
+        if extra:
+            raise ConfigurationError(f"{self.descriptor.variant} model has no network that reads {extra[0]!r}")
 
     @classmethod
     def initialize(cls, variant: str, seed: int, **kwargs) -> "DynamicsModel":
@@ -335,7 +341,7 @@ def neural_ode_derivative(s, t, params: Mapping, desc: ModelDescriptor):
     The kinematic half of the derivative is kept exact so the comparison
     against the structured model isolates force modeling.
     """
-    acc = ad.forward_mlp(params, s, desc.node_widths, desc.activation, prefix="node.")
+    acc = ad.forward_mlp(*_layers(params, "node.", desc), s, desc.activation)
     vx = ad.take_col(s, 2)
     vy = ad.take_col(s, 3)
     return ad.stack_last([vx, vy, ad.take_col(acc, 0), ad.take_col(acc, 1)])

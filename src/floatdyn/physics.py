@@ -87,7 +87,7 @@ def zero_force(state: State, t) -> Vec2:
 class BodyProperties:
     """Dry mass plus a known external force f(State, t) -> Vec2."""
 
-    mass: float = 10.0
+    mass: float
     external_force: Callable = zero_force
 
     def __post_init__(self) -> None:
@@ -97,9 +97,9 @@ class BodyProperties:
 
 @dataclass(frozen=True)
 class FluidProperties:
-    rho: float = 1000.0
-    area: float = 0.05
-    eps: float = 1e-6
+    rho: float
+    area: float
+    eps: float
 
     def __post_init__(self) -> None:
         for name in ("rho", "area", "eps"):
@@ -148,8 +148,8 @@ class SteadyVortexFlow(FlowField):
     and decays outward, so bodies never get flung to infinity.
     """
 
-    omega: float = 1.0
-    r_core: float = 3.0
+    omega: float
+    r_core: float
 
     def _swirl(self, x, y, omega):
         # u = omega / (1 + r^2/r_core^2)^2 * (-y, x)
@@ -176,8 +176,8 @@ class SteadyVortexFlow(FlowField):
 class TimeVaryingVortexFlow(SteadyVortexFlow):
     """Same vortex with omega(t) = omega * (1 + amplitude*sin(2 pi t/period))."""
 
-    amplitude: float = 0.3
-    period: float = 10.0
+    amplitude: float
+    period: float
 
     def _omega_at(self, t):
         return self.omega * (1.0 + self.amplitude * np.sin(2.0 * np.pi * t / self.period))
@@ -249,9 +249,9 @@ class ObstacleFlow(FlowField):
     everywhere.  The contracted region of validity is r >= margin*R.
     """
 
-    u_inf: float = 0.5
-    radius: float = 1.0
-    margin: float = 1.2
+    u_inf: float
+    radius: float
+    margin: float
 
     def _core2(self) -> float:
         return (OBSTACLE_CORE_FRAC * self.radius) ** 2
@@ -514,6 +514,7 @@ class Dataset:
 
 # -- scenarios -------------------------------------------------------------------
 
+# the one source of every default physical value; the classes above have none
 _COMMON_DEFAULTS = {
     "mass": 10.0,
     "m_ax": 36.0,
@@ -594,11 +595,10 @@ class Scenario:
             return self.flow
         p = self.params
         rng = np.random.default_rng([int(traj_seed), _NOISE_STREAM])
-        base = SteadyVortexFlow(omega=p["omega"], r_core=p["r_core"])
         amp, kx, ky, phase = make_perturbation_modes(
-            rng, p["n_modes"], p["noise_frac"] * base.peak_speed(), (p["k_min"], p["k_max"])
+            rng, p["n_modes"], p["noise_frac"] * self.flow.peak_speed(), (p["k_min"], p["k_max"])
         )
-        return PerturbedFlow(base, amp, kx, ky, phase)
+        return PerturbedFlow(self.flow, amp, kx, ky, phase)
 
     def batch_flow(self, traj_seeds: Sequence[int]) -> FlowField:
         """One flow whose row i is the flow of trajectory traj_seeds[i]."""
@@ -652,6 +652,16 @@ def make_scenario(kind: str, params: Mapping | None = None) -> Scenario:
         if kind_of is float and not np.isfinite(converted):
             raise ConfigurationError(f"scenario parameter {key!r} must be finite, got {value!r}")
         resolved[key] = converted
+    for key in ("r_core", "period", "radius", "wave_period"):  # each divides a flow or a force
+        if key in _SCENARIO_DEFAULTS[kind] and not resolved[key] > 0.0:
+            raise ConfigurationError(f"scenario parameter {key!r} must be > 0, got {resolved[key]!r}")
+    if kind == "noisy_flow":
+        n_modes, k_min, k_max = resolved["n_modes"], resolved["k_min"], resolved["k_max"]
+        if not (n_modes >= 0 and 0.0 < k_min <= k_max):
+            raise ConfigurationError(
+                "scenario parameters 'n_modes', 'k_min' and 'k_max' need n_modes >= 0 and "
+                f"0 < k_min <= k_max, got {n_modes}, {k_min} and {k_max}"
+            )
 
     fluid = FluidProperties(rho=resolved["rho"], area=resolved["area"], eps=resolved["eps"])
     coeffs = TrueCoefficients(

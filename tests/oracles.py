@@ -107,10 +107,9 @@ def plugin_truth_model(scenario, variant: str = "fhnn"):
     for name in m.params.names():
         if name.startswith("coeff."):
             m.params[name] = np.zeros_like(m.params[name])
-    last = len(m.descriptor.coeff_widths) - 2
     c = scenario.coeffs
     truths = (c.m_ax, c.m_ay, c.c_q, c.c_l)
-    m.params[f"coeff.b{last}"] = np.array(
+    m.params[f"coeff.b{len(m.descriptor.hidden)}"] = np.array(
         [invert_cap(v, cap) for v, cap in zip(truths, CAPS)]
     )
     return m

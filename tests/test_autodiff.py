@@ -169,10 +169,9 @@ def test_linear_and_tanh_backward_examples():
     assert tape.adjoint(w) == pytest.approx(3.0)
 
     # a 1-1-1 tanh network with unit weights and zero biases is tanh itself
-    store = ad.ParamStore({"W0": [[1.0]], "b0": [0.0], "W1": [[1.0]], "b1": [0.0]})
     tape = ad.Tape()
     w = tape.leaf([0.0])
-    ad.backward(tape, ad.vsum(ad.forward_mlp(store, w, (1, 1, 1), "tanh")))
+    ad.backward(tape, ad.vsum(ad.forward_mlp([np.ones((1, 1))] * 2, [np.zeros(1)] * 2, w, "tanh")))
     assert tape.adjoint(w) == pytest.approx(1.0)
 
 
@@ -186,8 +185,7 @@ def test_relu_prime_is_relu_step_with_zero_adjoint():
     # identity weights and zero biases: the network is relu applied elementwise
     tape = ad.Tape()
     v = tape.leaf(z)
-    eye = ad.ParamStore({"W0": np.eye(7), "b0": np.zeros(7), "W1": np.eye(7), "b1": np.zeros(7)})
-    ad.backward(tape, ad.vsum(ad.forward_mlp(eye, v, (7, 7, 7), "relu")))
+    ad.backward(tape, ad.vsum(ad.forward_mlp([np.eye(7)] * 2, [np.zeros(7)] * 2, v, "relu")))
     assert np.array_equal(tape.adjoint(v), step)
 
 
@@ -228,42 +226,46 @@ def test_stack_last_numpy_mode_broadcasts_scalar_constants():
 # -- forward_mlp ---------------------------------------------------------------
 
 
-def _mlp_params(widths, fill=0.0, prefix=""):
-    store = ad.ParamStore()
-    for i in range(len(widths) - 1):
-        store.add(f"{prefix}W{i}", np.full((widths[i + 1], widths[i]), fill))
-        store.add(f"{prefix}b{i}", np.zeros(widths[i + 1]))
-    return store
+def _glorot(widths, rng) -> dict:
+    """Tensors W0, b0, W1, ... of a dense network: Glorot-uniform weights, zero biases."""
+    params = {}
+    for i, (n_in, n_out) in enumerate(zip(widths, widths[1:])):
+        bound = np.sqrt(6.0 / (n_in + n_out))
+        params[f"W{i}"] = rng.uniform(-bound, bound, size=(n_out, n_in))
+        params[f"b{i}"] = np.zeros(n_out)
+    return params
+
+
+def _layers(params, n_layers):
+    """The weight and the bias lists of the tensors W0, b0, W1, ..."""
+    return [params[f"W{i}"] for i in range(n_layers)], [params[f"b{i}"] for i in range(n_layers)]
 
 
 def test_forward_mlp_zero_weights_returns_bias():
-    store = _mlp_params([3, 4, 2])
-    store["b1"] = np.array([0.3, -0.7])
-    out = ad.forward_mlp(store, np.array([5.0, -2.0, 9.0]), [3, 4, 2], "tanh")
+    weights = [np.zeros((4, 3)), np.zeros((2, 4))]
+    biases = [np.zeros(4), np.array([0.3, -0.7])]
+    out = ad.forward_mlp(weights, biases, np.array([5.0, -2.0, 9.0]), "tanh")
     assert np.allclose(out, [0.3, -0.7], atol=0.0)
 
 
 def test_forward_mlp_single_layer_tanh_identity_case():
-    store = ad.ParamStore({"W0": [[1.0]], "b0": [0.0]})
     # single layer: no activation applied after the last layer, so compose
-    out = ad.forward_mlp(store, np.array([0.0]), [1, 1], "tanh")
+    out = ad.forward_mlp([np.array([[1.0]])], [np.array([0.0])], np.array([0.0]), "tanh")
     assert np.allclose(ad.activation_value_and_base("tanh", out)[0], [0.0], atol=0.0)
 
 
 def test_forward_mlp_scalar_against_high_precision_tanh():
-    store = ad.ParamStore({"W0": [[2.0]], "b0": [0.5]})
-    pre = ad.forward_mlp(store, np.array([1.0]), [1, 1], "tanh")
+    pre = ad.forward_mlp([np.array([[2.0]])], [np.array([0.5])], np.array([1.0]), "tanh")
     out, _ = ad.activation_value_and_base("tanh", pre)
     assert out[0] == pytest.approx(TANH_2_5, abs=1e-12)
 
 
 def test_forward_mlp_batched_matches_vector_mode():
     rng = np.random.default_rng(2)
-    store = ad.ParamStore()
-    ad.init_mlp_params(store, [2, 8, 3], rng)
+    weights, biases = _layers(_glorot([2, 8, 3], rng), 2)
     xs = rng.normal(size=(5, 2))
-    batched = ad.forward_mlp(store, xs, [2, 8, 3], "tanh")
-    rows = np.stack([ad.forward_mlp(store, x, [2, 8, 3], "tanh") for x in xs])
+    batched = ad.forward_mlp(weights, biases, xs, "tanh")
+    rows = np.stack([ad.forward_mlp(weights, biases, x, "tanh") for x in xs])
     assert np.allclose(batched, rows, atol=1e-14)
 
 
@@ -281,10 +283,7 @@ def _jet_params(rng) -> dict:
 
 
 def _jet(params, a, activation, order, saves=None):
-    n = len(JET_WIDTHS) - 1
-    weights = [params[f"W{i}"] for i in range(n)]
-    biases = [params[f"b{i}"] for i in range(n)]
-    return ad.mlp_jet(weights, biases, a, activation, order, saves)
+    return ad.mlp_jet(*_layers(params, len(JET_WIDTHS) - 1), a, activation, order, saves)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -342,44 +341,38 @@ def test_relu_activation_value_is_max_with_zero():
     assert not np.signbit(value).any()
     assert np.array_equal(base, [0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
 
-    store = ad.ParamStore({"W0": [[1.0]], "b0": [0.0], "W1": [[1.0]], "b1": [0.0]})
+    weights, biases = [np.ones((1, 1))] * 2, [np.zeros(1)] * 2
     x = np.array([[-np.inf]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = ad.forward_mlp(store, x, (1, 1, 1), "relu")
+        out = ad.forward_mlp(weights, biases, x, "relu")
         tape = ad.Tape()
-        taped = ad.forward_mlp(store.as_leaves(tape), x, (1, 1, 1), "relu")
+        taped = ad.forward_mlp([tape.leaf(w) for w in weights], [tape.leaf(b) for b in biases], x, "relu")
     assert out.tolist() == [[0.0]]
     assert taped.value.tobytes() == out.tobytes()
 
 
-def test_forward_mlp_shape_mismatch_is_configuration_error():
-    store = _mlp_params([3, 4, 2])
-    with pytest.raises(ad.ConfigurationError):
-        ad.forward_mlp(store, np.zeros(5), [3, 4, 2], "tanh")
-    with pytest.raises(ad.ConfigurationError):
-        ad.forward_mlp(store, np.zeros(3), [3, 5, 2], "tanh")
-    with pytest.raises(ad.ConfigurationError):
-        ad.forward_mlp(store, np.zeros(3), [3, 4, 2], "gelu")
+def test_unknown_activation_is_configuration_error():
+    with pytest.raises(ad.ConfigurationError, match="unknown activation: 'gelu'"):
+        ad.activation_value_and_base("gelu", np.zeros(3))
 
 
 def test_mlp_parameter_gradients_match_finite_differences():
     rng = np.random.default_rng(9)
-    store = ad.ParamStore()
-    ad.init_mlp_params(store, [2, 6, 1], rng)
+    params = _glorot([2, 6, 1], rng)
     x = rng.normal(size=(4, 2))
 
     def loss(vals):
-        out = ad.forward_mlp(vals, x, [2, 6, 1], "tanh")
+        out = ad.forward_mlp(*_layers(vals, 2), x, "tanh")
         return float(np.mean(out**2))
 
     tape = ad.Tape()
-    leaves = store.as_leaves(tape)
-    out = ad.forward_mlp(leaves, x, [2, 6, 1], "tanh")
+    leaves = {name: tape.leaf(value) for name, value in params.items()}
+    out = ad.forward_mlp(*_layers(leaves, 2), x, "tanh")
     root = ad.vmean(out * out)
     ad.backward(tape, root)
     got = ad.parameter_gradients(tape, leaves)
-    want = fd_gradient(loss, dict(store.items()), h=1e-5)
+    want = fd_gradient(loss, params, h=1e-5)
     bad = grad_mismatches(got, want, rel_tol=1e-6, abs_floor=1e-4)
     assert not bad, bad[:5]
 
@@ -426,8 +419,7 @@ def test_adam_nan_gradient_aborts_without_mutation():
 
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(13)
-    store = ad.ParamStore()
-    ad.init_mlp_params(store, [2, 64, 64, 4], rng, prefix="coeff.")
+    store = ad.ParamStore({f"coeff.{name}": v for name, v in _glorot([2, 64, 64, 4], rng).items()})
     # include awkward values
     store.add("extra", np.array([1e-300, 1.0 + 2**-52, -0.0, 3.141592653589793]))
     meta = {"variant": "fhnn", "seed": 13, "activation": "tanh"}

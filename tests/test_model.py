@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -102,8 +103,7 @@ def test_stream_eval_zero_weights_is_constant_bias():
     for name in params.names():
         params[name] = np.zeros_like(params[name])
     params["stream.b1"] = np.full(64, 0.0)
-    last = len(desc.stream_widths) - 2
-    params[f"stream.b{last}"] = np.array([2.5])
+    params[f"stream.b{len(desc.hidden)}"] = np.array([2.5])
     ev = md.stream_eval(params, np.array([0.3, -1.0]), np.array([0.7, 0.2]), desc)
     assert np.allclose(ev.psi, 2.5, atol=0.0)
     assert np.all(ev.gx == 0.0) and np.all(ev.gy == 0.0)
@@ -246,7 +246,7 @@ def test_tape_mode_forward_equals_numpy_mode_bitwise(variant):
     # Var states, as in RK4 stages 2-4 of the training loss
     d = m.derivative(tape.leaf(s), 0.3, params=leaves)
     assert _same_bits(d.value, m.derivative(s, 0.3))
-    if variant == "neural_ode":
+    if not m.descriptor.learns_flow:
         return
     for order in (1, 2):
         ev_tape = md.stream_eval(leaves, s[:, 0], s[:, 1], m.descriptor, order=order)
@@ -278,7 +278,9 @@ def _mixed_tape_op(op):
     if op == "stack_last":
         return ad.stack_last([first.leaf([1.0, 2.0]), second.leaf([3.0, 4.0])])
     if op == "forward_mlp":
-        return ad.forward_mlp(leaves, pts, desc.coeff_widths, desc.activation, prefix="coeff.")
+        # param_shapes names each network's tensors as W0, b0, W1, b1, ...
+        coeff = [leaves[name] for name in desc.param_shapes() if name.startswith("coeff.")]
+        return ad.forward_mlp(coeff[0::2], coeff[1::2], pts, desc.activation)
     return md.stream_eval(leaves, ad.take_col(pts, 0), ad.take_col(pts, 1), desc, order=1)
 
 
@@ -359,7 +361,7 @@ def test_ablation_switches_zero_out_the_right_pieces():
 
     no_flow = md.DynamicsModel(
         descriptor=md.ModelDescriptor("no_flow_field", 6),
-        params=base.params.copy(),
+        params=ad.ParamStore({n: v for n, v in base.params.items() if n.startswith("coeff.")}),
         body=scenario.body,
         fluid=scenario.fluid,
     )
@@ -504,7 +506,7 @@ def test_rotation_equivariance_with_tied_masses_and_radial_flow():
         if name.startswith("stream."):
             m.params[name] = np.zeros_like(m.params[name])
     # tied added masses: the coefficient net's m_ax and m_ay outputs share a row
-    last = len(m.descriptor.coeff_widths) - 2
+    last = len(m.descriptor.hidden)
     for name in (f"coeff.W{last}", f"coeff.b{last}"):
         tied = m.params[name].copy()
         tied[1] = tied[0]
@@ -524,6 +526,35 @@ def test_rotation_equivariance_with_tied_masses_and_radial_flow():
 
 
 # -- descriptors and checkpoints ------------------------------------------------------
+
+
+# sha256 over the sorted names of init_params(ModelDescriptor(variant, 1)), each
+# giving its name, str(shape) and float64 bytes; first 16 hex digits
+INIT_DIGESTS = {
+    "fhnn": "7ede2cb9a6eb29d7",
+    "neural_ode": "64f953c0674241ce",
+    "no_added_mass": "7ede2cb9a6eb29d7",
+    "no_linear_drag": "7ede2cb9a6eb29d7",
+    "shallow": "b2d4787740cbe694",
+    "relu": "7ede2cb9a6eb29d7",
+}
+
+
+@pytest.mark.parametrize("variant", md.VARIANTS)
+def test_seeded_init_is_pinned(variant):
+    params = md.init_params(md.ModelDescriptor(variant, 1))
+    if variant == "no_flow_field":
+        # no stream network; the coefficient network is drawn first, as in fhnn
+        fhnn = md.init_params(md.ModelDescriptor("fhnn", 1))
+        assert params.names() == [n for n in fhnn.names() if n.startswith("coeff.")]
+        assert all(_same_bits(params[n], fhnn[n]) for n in params.names())
+        return
+    h = hashlib.sha256()
+    for name in sorted(params.names()):
+        h.update(name.encode())
+        h.update(str(params[name].shape).encode())
+        h.update(params[name].tobytes())
+    assert h.hexdigest()[:16] == INIT_DIGESTS[variant]
 
 
 def test_descriptor_validation():
@@ -567,8 +598,16 @@ def test_checkpoint_roundtrip_and_variant_refusal(tmp_path):
         (lambda p: p["metadata"].update(descriptor="fhnn"), "descriptor must be a mapping, got 'fhnn'"),
         # an older checkpoint recording a network that the variant does not fix
         (lambda p: p["metadata"]["descriptor"].update(activation="softplus"), "unknown key 'activation'"),
+        # an older no_flow_field checkpoint, which held a stream network that nothing read
+        (
+            lambda p: p["metadata"]["descriptor"].update(variant="no_flow_field"),
+            "no_flow_field model has no network that reads 'stream.W0'",
+        ),
     ],
-    ids=["no_descriptor", "no_seed", "wrong_shape", "missing_tensor", "descriptor_not_mapping", "extra_key"],
+    ids=[
+        "no_descriptor", "no_seed", "wrong_shape", "missing_tensor", "descriptor_not_mapping", "extra_key",
+        "extra_tensor",
+    ],
 )
 def test_checkpoint_load_names_what_does_not_fit(tmp_path, edit, message):
     path = tmp_path / "model.json"

@@ -22,6 +22,7 @@ class RigidVortex(ph.FlowField):
 
 
 UNIT_BODY = ph.BodyProperties(mass=1.0)
+FLUID = ph.make_scenario("steady_vortex").fluid  # rho 1000, area 0.05, eps 1e-6
 LINEAR_ONLY = (0.0, 0.0, 0.0, 1.0)  # unit mass, unit linear drag: a = -v_rel
 
 
@@ -45,7 +46,7 @@ def accel_and_sigma(state, flow, fluid, coeffs, body=UNIT_BODY):
 
 
 def test_comoving_body_has_zero_relative_velocity():
-    fluid = ph.FluidProperties(eps=1e-6)
+    fluid = FLUID
     flow = RigidVortex(omega=2.0)
     u = flow.velocity(1.0, 0.5, 0.0)
     state = ph.State(1.0, 0.5, u.x, u.y)
@@ -55,14 +56,14 @@ def test_comoving_body_has_zero_relative_velocity():
 
 
 def test_pythagorean_relative_speed_in_still_fluid():
-    fluid = ph.FluidProperties(eps=1e-6)
+    fluid = FLUID
     state = ph.State(0.0, 0.0, 3.0, 4.0)
     _, _, sigma = accel_and_sigma(state, ph.ZeroFlow(), fluid, LINEAR_ONLY)
     assert sigma == pytest.approx(5.0 + 1e-6, abs=1e-15)
 
 
 def test_rigid_vortex_relative_velocity_at_unit_point():
-    fluid = ph.FluidProperties(eps=1e-6)
+    fluid = FLUID
     state = ph.State(1.0, 0.0, 0.0, 0.0)
     ax, ay, sigma = accel_and_sigma(state, RigidVortex(omega=1.0), fluid, LINEAR_ONLY)
     assert -ax == pytest.approx(0.0, abs=0.0)
@@ -74,7 +75,7 @@ def test_rigid_vortex_relative_velocity_at_unit_point():
 
 
 def test_zero_relative_velocity_gives_zero_forces():
-    fluid = ph.FluidProperties()
+    fluid = FLUID
     state = ph.State(0.0, 0.0, 0.0, 0.0)
     ax, ay, _ = accel_and_sigma(state, ph.ZeroFlow(), fluid, (36.0, 42.0, 1.2, 6.0))
     assert ax == 0.0 and ay == 0.0
@@ -93,7 +94,7 @@ def test_quadratic_drag_hand_value():
 
 
 def test_linear_drag_hand_value():
-    fluid = ph.FluidProperties()
+    fluid = FLUID
     state = ph.State(0.0, 0.0, 0.0, -1.0)
     ax, ay, _ = accel_and_sigma(state, ph.ZeroFlow(), fluid, (0.0, 0.0, 0.0, 2.0))
     assert ax == 0.0
@@ -102,7 +103,7 @@ def test_linear_drag_hand_value():
 
 def test_dissipativity_on_random_states():
     rng = np.random.default_rng(0)
-    fluid = ph.FluidProperties()
+    fluid = FLUID
     for _ in range(200):
         vr = rng.normal(size=2) * rng.uniform(0.0, 3.0)
         state = ph.State(0.0, 0.0, vr[0], vr[1])
@@ -120,7 +121,7 @@ def test_dissipativity_on_random_states():
 
 def test_force_free_body_does_not_accelerate():
     body = ph.BodyProperties(mass=10.0)
-    fluid = ph.FluidProperties()
+    fluid = FLUID
     state = ph.State(1.0, 2.0, 0.0, 0.0)
     ax, ay, _ = accel_and_sigma(state, ph.ZeroFlow(), fluid, (36.0, 42.0, 1.2, 6.0), body)
     assert ax == 0.0 and ay == 0.0
@@ -129,7 +130,7 @@ def test_force_free_body_does_not_accelerate():
 def test_diagonal_effective_mass_inverse():
     body = ph.BodyProperties(mass=1.0, external_force=lambda state, t: ph.Vec2(10.0, 0.0))
     state = ph.State(0.0, 0.0, 0.0, 0.0)
-    ax, ay, _ = accel_and_sigma(state, ph.ZeroFlow(), ph.FluidProperties(), (1.0, 0.0, 0.0, 0.0), body)
+    ax, ay, _ = accel_and_sigma(state, ph.ZeroFlow(), FLUID, (1.0, 0.0, 0.0, 0.0), body)
     assert ax == pytest.approx(5.0, abs=0.0)
     assert ay == 0.0
 
@@ -137,7 +138,7 @@ def test_diagonal_effective_mass_inverse():
 def test_nonpositive_effective_mass_rejected():
     state = ph.State(0.0, 0.0, 1.0, 1.0)
     with pytest.raises(ph.PhysicalValidityError):
-        accel_and_sigma(state, ph.ZeroFlow(), ph.FluidProperties(), (-2.0, 0.0, 0.0, 0.0))
+        accel_and_sigma(state, ph.ZeroFlow(), FLUID, (-2.0, 0.0, 0.0, 0.0))
 
 
 def test_acceleration_matches_dense_rollout_finite_difference():
@@ -255,7 +256,7 @@ def test_vortex_rollout_speed_stays_bounded():
     _, ys = ph.integrate(f, s0, 0.0, 8.0, 0.005, sample_every=10)
     speeds = np.hypot(ys[:, 2], ys[:, 3])
     # drag opposes relative velocity, so speed can never exceed start + flow peak
-    bound = np.hypot(0.4, 0.3) + ph.SteadyVortexFlow().peak_speed() + 1e-9
+    bound = np.hypot(0.4, 0.3) + scenario.flow.peak_speed() + 1e-9
     assert speeds.max() <= bound
 
 
@@ -425,6 +426,23 @@ def test_unknown_scenario_and_parameter_rejected():
             ph.scenario_from_manifest({k: v for k, v in manifest.items() if k != key})
 
 
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("time_varying_vortex", "period", 0.0),
+        ("morison_wave", "wave_period", 0.0),
+        ("steady_vortex", "r_core", 0.0),
+        ("noisy_flow", "k_min", 2.0),  # above the default k_max = 1
+        ("noisy_flow", "n_modes", -1),
+        ("obstacle_flow", "radius", -1.0),
+    ],
+)
+def test_out_of_range_scenario_parameter_is_refused_naming_it(kind, key, value):
+    # each would otherwise fail later with a bare numpy or Python error, or not at all
+    with pytest.raises(ConfigurationError, match=f"'{key}'"):
+        ph.make_scenario(kind, {key: value})
+
+
 def test_radial_added_mass_field_roundtrip():
     assert ph.make_scenario("steady_vortex", {"radial_added_mass": np.False_}).coeffs.radial is False
     scenario = ph.make_scenario("steady_vortex", {"radial_added_mass": True})
@@ -522,7 +540,7 @@ def test_noisy_perturbation_amplitude_is_bounded():
     up = flow.velocity(X.ravel(), Y.ravel(), 0.0)
     ub = base.velocity(X.ravel(), Y.ravel(), 0.0)
     pert = np.hypot(up.x - ub.x, up.y - ub.y)
-    cap = 0.05 * ph.SteadyVortexFlow().peak_speed() + 1e-12
+    cap = 0.05 * base.peak_speed() + 1e-12
     assert pert.max() <= cap
 
 

@@ -322,8 +322,8 @@ NAN = float("nan")
     "build, error, name",
     [
         (lambda: ph.BodyProperties(mass=NAN), ph.PhysicalValidityError, "mass"),
-        (lambda: ph.FluidProperties(rho=NAN), ph.PhysicalValidityError, "rho"),
-        (lambda: ph.FluidProperties(area=np.inf), ph.PhysicalValidityError, "area"),
+        (lambda: ph.FluidProperties(rho=NAN, area=0.05, eps=1e-6), ph.PhysicalValidityError, "rho"),
+        (lambda: ph.FluidProperties(rho=1000.0, area=np.inf, eps=1e-6), ph.PhysicalValidityError, "area"),
         (lambda: ph.TrueCoefficients(36.0, NAN, 1.2, 6.0, radial=False), ph.PhysicalValidityError, "m_ay"),
         (lambda: ph.make_scenario("steady_vortex", {"m_ax": NAN}), ConfigurationError, "m_ax"),
         (lambda: ph.make_scenario("steady_vortex", {"omega": -np.inf}), ConfigurationError, "omega"),
