@@ -311,43 +311,34 @@ def vmean(x):
 
 
 def take_col(x, j: int):
-    """Column ``j`` of a 2-D array (or entry ``j`` of a 1-D array)."""
-    if _is_var(x):
-        a = x.value
-        if a.ndim not in (1, 2):
-            raise ConfigurationError(f"take_col expects 1-D/2-D input, got {a.ndim}-D")
+    """Entry ``j`` of the last axis, ``x[..., j]``."""
+    col = _value(x)[..., j]
+    if not _is_var(x):
+        return col
 
-        def vjp(g, shape=a.shape, j=j):
-            out = np.zeros(shape)
-            out[..., j] = g
-            return (out,)
+    def vjp(g, shape=x.shape, j=j):
+        out = np.zeros(shape)
+        out[..., j] = g
+        return (out,)
 
-        return x.tape._record(a[..., j].copy(), (x.idx,), vjp)
-    a = _const(x)
-    return a[:, j] if a.ndim == 2 else _const(a[j])
+    return x.tape._record(col.copy(), (x.idx,), vjp)
 
 
 def stack_last(parts: Sequence):
-    """Stack scalars into a vector, or (N,) columns into an (N, K) matrix.
+    """Stack K parts of one shape S into an (*S, K) array along a new last axis.
 
-    Parts may mix Vars with plain arrays/floats; constants are lifted to
-    the common shape.
+    Parts may mix Vars with plain arrays and floats; constants are
+    broadcast to the common shape, which every Var part must have.
     """
-    var_parts = [p for p in parts if _is_var(p)]
-    if not var_parts:
-        shape = np.shape(parts[0])
-        if all(type(p) is np.ndarray and p.dtype == np.float64 and p.shape == shape for p in parts):
-            return np.stack(parts, axis=-1)
-        arrs = [_const(p) for p in parts]
-        ref = next((a.shape for a in arrs if a.ndim > 0), ())
-        arrs = [np.broadcast_to(a, ref) for a in arrs]
-        return np.stack(arrs, axis=-1)
-    ref = var_parts[0].shape
-    if any(p.shape != ref for p in var_parts):
-        raise ConfigurationError("stack_last parts must share a shape")
-    vals = [p.value if _is_var(p) else np.broadcast_to(_const(p), ref) for p in parts]
+    vals = [_value(p) for p in parts]
+    shape = np.broadcast(*vals).shape
     ks = [k for k, p in enumerate(parts) if _is_var(p)]
-    return record(np.stack(vals, axis=-1), parts, lambda g, ks=ks: [g[..., k] for k in ks])
+    if any(parts[k].shape != shape for k in ks):
+        raise ConfigurationError("stack_last parts must share a shape")
+    out = np.empty((*shape, len(vals)))
+    for k, v in enumerate(vals):
+        out[..., k] = v
+    return record(out, parts, lambda g, ks=ks: [g[..., k] for k in ks]) if ks else out
 
 
 # -- backward pass -----------------------------------------------------------

@@ -22,6 +22,7 @@ through the streamfunction network in one numpy pass
 pass is one node whose backward is ``autodiff.mlp_jet_vjp``, so the
 flow, its divergence-free construction and the Hessian penalty are all
 differentiable with respect to both the parameters and the positions.
+:class:`StreamFlow` is that flow as a ``physics.FlowField``, like a true flow.
 """
 
 from __future__ import annotations
@@ -204,6 +205,20 @@ def stream_eval(params: Mapping, x, y, desc: ModelDescriptor, order: int = 2) ->
     return StreamEval(*[c[..., 0] for c in jet])
 
 
+@dataclass(frozen=True)
+class StreamFlow(ph.FlowField):
+    """The learned flow, u = grad-perp psi at ``params``; it ignores t."""
+
+    params: Mapping
+    desc: ModelDescriptor
+
+    def velocity(self, x, y, t):
+        return stream_eval(self.params, x, y, self.desc, order=1).velocity()
+
+    def streamfunction(self, x, y, t):
+        return stream_eval(self.params, x, y, self.desc, order=1).psi
+
+
 # -- derivative assembly ------------------------------------------------------------
 
 
@@ -216,8 +231,9 @@ class DynamicsModel:
     have no default, so a model cannot silently drop a scenario's known
     force.  Everything hydrodynamic is either learned (structured variants)
     or absorbed by the black-box baseline; the learned coefficients lie in
-    [CAPS/2, CAPS) (see :func:`cap_map`).  ``params`` must hold exactly the
-    tensors of :meth:`ModelDescriptor.param_shapes`, which is checked here.  Roll a
+    [CAPS/2, CAPS) (see :func:`cap_map`), and :meth:`flow` is the flow the
+    dynamics read.  ``params`` must hold exactly the tensors of
+    :meth:`ModelDescriptor.param_shapes`, which is checked here.  Roll a
     model out with ``rollout_model(model.derivative, ...)``.
     """
 
@@ -246,31 +262,29 @@ class DynamicsModel:
         return cls(descriptor=desc, params=init_params(desc), **kwargs)
 
     def derivative(self, s, t, params: Mapping | None = None, jet=None):
-        """State derivative for (..., 4) states; tape mode when params are Vars.
+        """State derivative for (4,) or (N, 4) states; tape mode when params are Vars.
 
         ``jet`` is an optional ``stream_eval`` of these params at the positions
         of ``s``; see :func:`fhnn_derivative`.
         """
+        shape = np.shape(s)
+        if len(shape) not in (1, 2) or shape[-1] != 4:
+            raise ConfigurationError(f"model states must be (4,) or (N, 4), got {shape}")
         p = self.params if params is None else params
         if self.descriptor.variant == "neural_ode":
             return neural_ode_derivative(s, t, p, self.descriptor)
-        return fhnn_derivative(
-            s,
-            t,
-            p,
-            self.body,
-            self.fluid,
-            self.descriptor,
-            flow_override=self.flow_override,
-            jet=jet,
-        )
+        return fhnn_derivative(s, t, p, self, jet=jet)
 
-    def flow_velocity(self, x, y, params: Mapping | None = None):
-        """Learned background flow at points; refuses for flow-less variants."""
+    def flow(self, params: Mapping | None = None) -> ph.FlowField:
+        """The flow the dynamics read: ``flow_override`` if set, ``ZeroFlow``
+        for ``no_flow_field``, else the :class:`StreamFlow` at ``params``."""
+        if self.descriptor.variant == "neural_ode":
+            raise ad.UsageError("the neural_ode variant reads no flow field")
+        if self.flow_override is not None:
+            return self.flow_override
         if not self.descriptor.learns_flow:
-            raise ad.UsageError(f"the {self.descriptor.variant} variant has no learned flow field")
-        p = self.params if params is None else params
-        return stream_eval(p, x, y, self.descriptor, order=1).velocity()
+            return ph.ZeroFlow()
+        return StreamFlow(self.params if params is None else params, self.descriptor)
 
     def save(self, path) -> None:
         ad.save_checkpoint(path, self.params, {"descriptor": self.descriptor.to_metadata()})
@@ -288,39 +302,20 @@ class DynamicsModel:
         return cls(descriptor=desc, params=params, **kwargs)
 
 
-def fhnn_derivative(
-    s,
-    t,
-    params: Mapping,
-    body: ph.BodyProperties,
-    fluid: ph.FluidProperties,
-    desc: ModelDescriptor,
-    flow_override=None,
-    jet: StreamEval | None = None,
-):
-    """Structured state derivative: the learned flow and the learned capped
-    coefficients fed through :func:`floatdyn.physics.body_acceleration`,
+def fhnn_derivative(s, t, params: Mapping, model: DynamicsModel, jet: StreamEval | None = None):
+    """Structured state derivative: ``model.flow(params)`` and the learned
+    capped coefficients fed through :func:`floatdyn.physics.body_acceleration`,
     the equations of motion the ground truth also uses.
 
-    ``flow_override`` substitutes a known flow field for the learned one
-    (plug-in consistency oracles).  ``jet``, a ``stream_eval`` of
-    ``params`` at the positions of ``s`` of either order, replaces the
-    learned flow's own order-1 evaluation; it is ignored where the flow is
-    overridden or fixed to zero.  The ablations zero their coefficients here.
+    ``jet``, a ``stream_eval`` of ``params`` at the positions of ``s`` of
+    either order, replaces a :class:`StreamFlow`'s own order-1 evaluation.
+    The ablations zero their coefficients here.
     """
-    x = ad.take_col(s, 0)
-    y = ad.take_col(s, 1)
-    vx = ad.take_col(s, 2)
-    vy = ad.take_col(s, 3)
-
-    if flow_override is not None:
-        u = flow_override.velocity(x, y, t)
-        ux, uy = u.x, u.y
-    elif not desc.learns_flow:
-        ux, uy = 0.0, 0.0
-    else:
-        ev = stream_eval(params, x, y, desc, order=1) if jet is None else jet
-        ux, uy = ev.velocity()
+    desc = model.descriptor
+    x, y, vx, vy = (ad.take_col(s, j) for j in range(4))
+    flow = model.flow(params)
+    use_jet = jet is not None and isinstance(flow, StreamFlow)
+    ux, uy = jet.velocity() if use_jet else flow.velocity(x, y, t)
 
     def coefficients(r, sigma):
         coeffs = coefficient_net(params, ad.stack_last([r, sigma]), desc)
@@ -331,7 +326,7 @@ def fhnn_derivative(
             c_l = 0.0
         return m_ax, m_ay, c_q, c_l
 
-    ax, ay = ph.body_acceleration(ph.State(x, y, vx, vy), t, ux, uy, coefficients, body, fluid)
+    ax, ay = ph.body_acceleration(ph.State(x, y, vx, vy), t, ux, uy, coefficients, model.body, model.fluid)
     return ad.stack_last([vx, vy, ax, ay])
 
 
@@ -342,9 +337,7 @@ def neural_ode_derivative(s, t, params: Mapping, desc: ModelDescriptor):
     against the structured model isolates force modeling.
     """
     acc = ad.forward_mlp(*_layers(params, "node.", desc), s, desc.activation)
-    vx = ad.take_col(s, 2)
-    vy = ad.take_col(s, 3)
-    return ad.stack_last([vx, vy, ad.take_col(acc, 0), ad.take_col(acc, 1)])
+    return ad.stack_last([ad.take_col(s, 2), ad.take_col(s, 3), ad.take_col(acc, 0), ad.take_col(acc, 1)])
 
 
 # -- rollouts -----------------------------------------------------------------------

@@ -504,7 +504,9 @@ class Dataset:
                 raise ConfigurationError(f"{jsonl_path} line {lineno}: trajectory holds non-finite values")
             trajectories.append(trajectory)
         manifest = {}
-        if manifest_path is not None and Path(manifest_path).exists():
+        if manifest_path is not None:
+            if not Path(manifest_path).exists():
+                raise ConfigurationError(f"dataset manifest {manifest_path} does not exist")
             try:
                 manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
             except json.JSONDecodeError as err:

@@ -45,9 +45,9 @@ def test_every_public_definition_has_a_caller():
     assert sorted(RESERVED - (public - used)) == [], "drop names from RESERVED once they have a caller"
 
 
-# the count of settable_values() once the dense network took weight lists and
-# the scenario table became the only source of each physical default
-SETTABLE_VALUES_BOUND = 52
+# the count of settable_values() once fhnn_derivative read its flow from the
+# model instead of a flow_override argument
+SETTABLE_VALUES_BOUND = 51
 
 
 def _is_public(name: str) -> bool:

@@ -190,20 +190,23 @@ def test_relu_prime_is_relu_step_with_zero_adjoint():
 
 
 def test_take_col_and_stack_last_roundtrip_gradients():
+    # both ops act on the last axis, whatever the rank
     rng = np.random.default_rng(5)
-    x0 = rng.normal(size=(6, 3))
-    tape = ad.Tape()
-    x = tape.leaf(x0)
-    cols = [ad.take_col(x, j) for j in range(3)]
-    y = ad.stack_last([cols[2], cols[0], 1.5])  # constant column mixed in
-    assert y.value.shape == (6, 3)
-    root = ad.vsum(y * y)
-    ad.backward(tape, root)
-    g = tape.adjoint(x)
-    expect = np.zeros_like(x0)
-    expect[:, 2] = 2.0 * x0[:, 2]
-    expect[:, 0] = 2.0 * x0[:, 0]
-    assert np.allclose(g, expect, atol=1e-12)
+    for shape in [(6, 3), (3, 5, 3)]:
+        x0 = rng.normal(size=shape)
+        tape = ad.Tape()
+        x = tape.leaf(x0)
+        cols = [ad.take_col(x, j) for j in range(3)]
+        assert all(np.array_equal(c.value, x0[..., j]) for j, c in enumerate(cols))
+        y = ad.stack_last([cols[2], cols[0], 1.5])  # constant column mixed in
+        assert y.value.shape == shape
+        root = ad.vsum(y * y)
+        ad.backward(tape, root)
+        g = tape.adjoint(x)
+        expect = np.zeros_like(x0)
+        expect[..., 2] = 2.0 * x0[..., 2]
+        expect[..., 0] = 2.0 * x0[..., 0]
+        assert np.allclose(g, expect, atol=1e-12)
 
 
 def test_stack_last_numpy_mode_arrays_only():
@@ -213,6 +216,11 @@ def test_stack_last_numpy_mode_arrays_only():
     assert out.shape == (3, 2)
     assert np.array_equal(out[:, 0], a) and np.array_equal(out[:, 1], b)
     assert np.array_equal(ad.stack_last([np.float64(2.0), np.float64(3.0)]), [2.0, 3.0])
+    # both ops act on the last axis, whatever the rank
+    c = np.random.default_rng(6).normal(size=(3, 5, 4))
+    cols = [ad.take_col(c, j) for j in range(4)]
+    assert all(np.array_equal(col, c[..., j]) for j, col in enumerate(cols))
+    assert np.array_equal(ad.stack_last(cols[::-1]), c[..., ::-1])
 
 
 def test_stack_last_numpy_mode_broadcasts_scalar_constants():

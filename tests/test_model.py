@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -337,7 +338,7 @@ def test_model_drag_opposes_relative_velocity_for_random_params():
         )
         x, y = rng.uniform(-2, 2, size=2)
         vx, vy = rng.uniform(-1, 1, size=2)
-        u = m.flow_velocity(np.array([x]), np.array([y]))
+        u = m.flow().velocity(np.array([x]), np.array([y]), 0.0)
         vrx, vry = vx - np.asarray(u.x)[0], vy - np.asarray(u.y)[0]
         fx, fy = np.asarray(m.derivative(np.array([[x, y, vx, vy]]), 0.0))[0, 2:]
         assert fx * vrx + fy * vry <= 1e-12
@@ -365,8 +366,20 @@ def test_ablation_switches_zero_out_the_right_pieces():
         body=scenario.body,
         fluid=scenario.fluid,
     )
-    with pytest.raises(ad.UsageError):
-        no_flow.flow_velocity(np.array([0.0]), np.array([0.0]))
+    assert isinstance(no_flow.flow(), ph.ZeroFlow)
+    node = md.DynamicsModel.initialize("neural_ode", seed=6, body=scenario.body, fluid=scenario.fluid)
+    with pytest.raises(ad.UsageError, match="neural_ode"):
+        node.flow()
+
+
+@pytest.mark.parametrize("variant", ["fhnn", "neural_ode"])
+@pytest.mark.parametrize("shape", [(3, 5, 4), (6, 3), (4, 1), ()], ids=["3d", "n_by_3", "4_by_1", "0d"])
+def test_derivative_refuses_states_other_than_4_or_n_by_4(variant, shape):
+    m = md.DynamicsModel.initialize(variant, seed=0, body=VORTEX.body, fluid=VORTEX.fluid)
+    assert np.shape(m.derivative(np.full(4, 0.3), 0.0)) == (4,)
+    assert np.shape(m.derivative(np.full((2, 4), 0.3), 0.0)) == (2, 4)
+    with pytest.raises(ConfigurationError, match=re.escape(f"got {shape}")):
+        m.derivative(np.full(shape, 0.3), 0.0)
 
 
 def test_neural_ode_zero_weights_keeps_kinematics_only():

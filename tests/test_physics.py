@@ -1,8 +1,10 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+from floatdyn import model as md
 from floatdyn import physics as ph
 from floatdyn.autodiff import ConfigurationError
 from floatdyn.training import split_train_val
@@ -352,6 +354,14 @@ def test_all_scenarios_finite_at_origin():
         assert np.isfinite(u.x) and np.isfinite(u.y), kind
 
 
+def _flow(kind):
+    """A scenario's flow, or for ``learned`` an fhnn model's flow at init."""
+    scenario = ph.make_scenario("steady_vortex" if kind == "learned" else kind)
+    if kind == "learned":
+        return md.DynamicsModel.initialize("fhnn", seed=3, body=scenario.body, fluid=scenario.fluid).flow()
+    return scenario.trajectory_flow(7) if scenario.per_trajectory_flow else scenario.flow
+
+
 @pytest.mark.parametrize(
     "kind,grid",
     [
@@ -360,11 +370,11 @@ def test_all_scenarios_finite_at_origin():
         ("noisy_flow", (-2.0, 2.0)),
         ("obstacle_flow", (1.5, 3.5)),
         ("morison_wave", (-2.0, 2.0)),
+        ("learned", (-2.0, 2.0)),
     ],
 )
 def test_analytic_providers_are_numerically_divergence_free(kind, grid):
-    scenario = ph.make_scenario(kind)
-    flow = scenario.trajectory_flow(7) if scenario.per_trajectory_flow else scenario.flow
+    flow = _flow(kind)
     spacing = 1e-4
     xs, ys = np.meshgrid(np.linspace(*grid, 20), np.linspace(*grid, 20))
     div = ph.numerical_divergence(flow.velocity, xs.ravel(), ys.ravel(), t=0.4, spacing=spacing)
@@ -375,10 +385,9 @@ def test_analytic_providers_are_numerically_divergence_free(kind, grid):
 
 
 def test_streamfunction_consistent_with_velocity():
-    scenario = ph.make_scenario("steady_vortex")
-    flow = scenario.flow
     h = 1e-6
-    for x, y in [(0.7, -0.3), (1.5, 2.0), (-2.2, 0.4)]:
+    points = [(0.7, -0.3), (1.5, 2.0), (-2.2, 0.4)]
+    for flow, (x, y) in itertools.product([_flow("steady_vortex"), _flow("learned")], points):
         dpsi_dx = (flow.streamfunction(x + h, y, 0.0) - flow.streamfunction(x - h, y, 0.0)) / (2 * h)
         dpsi_dy = (flow.streamfunction(x, y + h, 0.0) - flow.streamfunction(x, y - h, 0.0)) / (2 * h)
         u = flow.velocity(x, y, 0.0)
@@ -567,6 +576,16 @@ def test_dataset_jsonl_roundtrip(tmp_path):
     rebuilt = ph.scenario_from_manifest(back.manifest)
     assert rebuilt.kind == "steady_vortex"
     assert rebuilt.coeffs.describe() == scenario.coeffs.describe()
+
+
+def test_dataset_load_refuses_a_missing_manifest(tmp_path):
+    # without a manifest path the manifest is empty; a path that names no
+    # file is refused, not read as an empty manifest
+    scenario = ph.make_scenario("steady_vortex")
+    ph.generate_dataset(scenario, 1, 1, duration=0.5, dt_sample=0.05, seed=4).save(tmp_path / "data.jsonl")
+    assert ph.Dataset.load(tmp_path / "data.jsonl").manifest == {}
+    with pytest.raises(ConfigurationError, match="manifest .*missing.json does not exist"):
+        ph.Dataset.load(tmp_path / "data.jsonl", tmp_path / "missing.json")
 
 
 def test_dataset_load_names_a_missing_key_and_its_line(tmp_path):
