@@ -221,7 +221,8 @@ def _value(x) -> Array:
 
 def _sigmoid_value(z: Array) -> Array:
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(z >= 0.0, 1.0 / d, e / d)
 
 
 def _softplus_value(z: Array) -> Array:
@@ -491,6 +492,19 @@ def _sum(terms: list):
     return sum(terms[1:], terms[0])
 
 
+def _activation_channel(zd: list, k: int, d1: Array, d2, pairs: list) -> Array:
+    """Derivative channel ``k`` of an activation's output, from its input's
+    derivative channels ``zd``: d1*t for a first-order channel t and
+    d2*(t_p*t_q) + d1*s for the second-order channel s of pair (p, q), or
+    d1*s where phi'' vanishes (``d2`` None).  The forward pass and the
+    reverse sweep both build channels here, so they agree bit for bit."""
+    d = len(zd) - len(pairs)
+    if k < d or d2 is None:
+        return d1 * zd[k]
+    p, q = pairs[k - d]
+    return d2 * (zd[p] * zd[q]) + d1 * zd[k]
+
+
 def mlp_jet(
     weights: Sequence[Array], biases: Sequence[Array], a: Array, activation: str, order: int = 0, saves=None
 ) -> list:
@@ -507,31 +521,25 @@ def mlp_jet(
 
     If ``saves`` is a list, each activation appends what
     :func:`mlp_jet_vjp` reads: its input's derivative channels, the base
-    from :func:`activation_value_and_base` and its output channels.
+    from :func:`activation_value_and_base` and phi, which for tanh is the
+    base itself.  Its output's derivative channels are not saved: the
+    reverse sweep rebuilds them from the first two.
     """
     w = weights[0]
     d = a.shape[1]
+    pairs = _pairs(d) if order == 2 else []
     z = [a @ w.T + biases[0]]
     if order >= 1:
         z += [w[:, k] for k in range(d)]
-    if order == 2:
-        pairs = _pairs(d)
-        z += [0.0] * len(pairs)
+    z += [0.0] * len(pairs)
     for i in range(1, len(weights)):
         phi, base = activation_value_and_base(activation, z[0])
-        h = [phi]
-        if order >= 1:
-            d1, d2, _ = activation_derivatives(activation, base, order)
-            zt = z[1 : d + 1]
-            h += [d1 * c for c in zt]
-            if order == 2 and d2 is None:  # relu: phi'' = 0 almost everywhere
-                h += [d1 * c for c in z[d + 1 :]]
-            elif order == 2:
-                h += [d2 * (zt[p] * zt[q]) + d1 * c for (p, q), c in zip(pairs, z[d + 1 :])]
+        zd = z[1:]
+        d1, d2, _ = activation_derivatives(activation, base, order) if order else (None, None, None)
         if saves is not None:
-            saves.append((z[1:], base, h))
+            saves.append((zd, base, phi))
         wt = weights[i].T
-        z = [h[0] @ wt + biases[i]] + [c @ wt for c in h[1:]]
+        z = [phi @ wt + biases[i]] + [_activation_channel(zd, k, d1, d2, pairs) @ wt for k in range(len(zd))]
     if len(weights) == 1:  # no hidden layer: derivative channels are constants
         z[1:] = [np.broadcast_to(c, z[0].shape) for c in z[1:]]
     return z
@@ -542,18 +550,24 @@ def mlp_jet_vjp(zbar: list, weights: Sequence[Array], a: Array, saves: list, act
 
     ``zbar`` holds one adjoint per output channel and ``saves`` what the
     forward pass saved.  Each activation recomputes phi' to phi''' up to
-    order + 1 from its base; relu's vanish beyond phi'.
+    order + 1 from its base; relu's vanish beyond phi'.  The next layer's
+    weight adjoint is a running sum over the activation's output channels
+    in channel order, and each derivative channel is rebuilt from the
+    saved input channels just before its term is added, so only one
+    rebuilt channel is alive at a time.
     """
     d = a.shape[1]
     pairs = _pairs(d) if order == 2 else []
     w_grads: list = [None] * len(weights)
     b_grads: list = [None] * len(weights)
     for i in range(len(weights) - 1, 0, -1):
-        zd, base, h = saves[i - 1]
-        w_grads[i] = _sum([zb.T @ c for zb, c in zip(zbar, h)])
+        zd, base, phi = saves[i - 1]
+        d1, d2, d3 = activation_derivatives(activation, base, order + 1)
+        w_grads[i] = zbar[0].T @ phi
+        for k, zb in enumerate(zbar[1:]):
+            w_grads[i] += zb.T @ _activation_channel(zd, k, d1, d2, pairs)
         b_grads[i] = zbar[0].sum(axis=0)
         hbar = [zb @ weights[i] for zb in zbar]
-        d1, d2, d3 = activation_derivatives(activation, base, order + 1)
         zbar = [c * d1 for c in hbar]
         if order == 0 or d2 is None:
             continue

@@ -207,16 +207,29 @@ def stream_eval(params: Mapping, x, y, desc: ModelDescriptor, order: int = 2) ->
 
 @dataclass(frozen=True)
 class StreamFlow(ph.FlowField):
-    """The learned flow, u = grad-perp psi at ``params``; it ignores t."""
+    """The learned flow, u = grad-perp psi at ``params``; it ignores t.
+
+    Like a true flow it takes numpy positions of any shape: above 1-D they
+    are raveled for :func:`stream_eval` and its fields shaped back.  Var
+    positions must be scalar or 1-D.
+    """
 
     params: Mapping
     desc: ModelDescriptor
 
+    def _eval(self, x, y) -> StreamEval:
+        """Order-1 :func:`stream_eval` at (x, y), its fields in their shape."""
+        if max(np.ndim(x), np.ndim(y)) <= 1 or isinstance(x, ad.Var) or isinstance(y, ad.Var):
+            return stream_eval(self.params, x, y, self.desc, order=1)
+        x, y = np.broadcast_arrays(x, y)
+        jet = stream_eval(self.params, x.ravel(), y.ravel(), self.desc, order=1)
+        return StreamEval(*(f.reshape(x.shape) for f in (jet.psi, jet.gx, jet.gy)))
+
     def velocity(self, x, y, t):
-        return stream_eval(self.params, x, y, self.desc, order=1).velocity()
+        return self._eval(x, y).velocity()
 
     def streamfunction(self, x, y, t):
-        return stream_eval(self.params, x, y, self.desc, order=1).psi
+        return self._eval(x, y).psi
 
 
 # -- derivative assembly ------------------------------------------------------------

@@ -304,7 +304,9 @@ def body_acceleration(state: State, t, ux, uy, coefficients, body: BodyPropertie
     fy = fqy + fly + fext.y
     mx = body.mass + m_ax
     my = body.mass + m_ay
-    if np.any(_raw(mx) <= 0.0) or np.any(_raw(my) <= 0.0):
+    # the array method, not np.any: its Python-level wrapper costs about as
+    # much as the test, on every derivative call; NaN compares False, passes
+    if np.less_equal(_raw(mx), 0.0).any() or np.less_equal(_raw(my), 0.0).any():
         raise PhysicalValidityError("effective mass must be positive in both axes")
     return fx / mx, fy / my
 

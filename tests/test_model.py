@@ -344,6 +344,21 @@ def test_model_drag_opposes_relative_velocity_for_random_params():
         assert fx * vrx + fy * vry <= 1e-12
 
 
+def test_learned_flow_takes_grids_and_refuses_var_grids():
+    flow = md.DynamicsModel.initialize("fhnn", seed=4, body=VORTEX.body, fluid=VORTEX.fluid).flow()
+    xs, ys = np.meshgrid(np.linspace(-2.0, 2.0, 5), np.linspace(-1.0, 1.0, 3))
+    u, psi = flow.velocity(xs, ys, 0.0), flow.streamfunction(xs, ys, 0.0)
+    flat = flow.velocity(xs.ravel(), ys.ravel(), 0.0)
+    assert u.x.shape == u.y.shape == psi.shape == (3, 5)
+    assert np.array_equal(u.x.ravel(), flat.x) and np.array_equal(u.y.ravel(), flat.y)
+    assert np.array_equal(psi.ravel(), flow.streamfunction(xs.ravel(), ys.ravel(), 0.0))
+    # a row against a column broadcasts to the grid
+    assert np.array_equal(flow.velocity(xs[:1], ys[:, :1], 0.0).x, u.x)
+    tape = ad.Tape()
+    with pytest.raises(ConfigurationError, match="1-D"):
+        flow.velocity(tape.leaf(xs), tape.leaf(ys), 0.0)
+
+
 def test_ablation_switches_zero_out_the_right_pieces():
     scenario = ph.make_scenario("steady_vortex")
     s = np.array([[1.0, 0.5, 0.3, -0.2]])

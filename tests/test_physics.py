@@ -377,8 +377,9 @@ def test_analytic_providers_are_numerically_divergence_free(kind, grid):
     flow = _flow(kind)
     spacing = 1e-4
     xs, ys = np.meshgrid(np.linspace(*grid, 20), np.linspace(*grid, 20))
-    div = ph.numerical_divergence(flow.velocity, xs.ravel(), ys.ravel(), t=0.4, spacing=spacing)
-    u = flow.velocity(xs.ravel(), ys.ravel(), 0.4)
+    div = ph.numerical_divergence(flow.velocity, xs, ys, t=0.4, spacing=spacing)
+    u = flow.velocity(xs, ys, 0.4)
+    assert div.shape == u.x.shape == u.y.shape == xs.shape
     speed_scale = float(np.max(np.hypot(u.x, u.y)))
     tol = 1e-6 * speed_scale / spacing + 1e-12
     assert np.max(np.abs(div)) < tol
