@@ -20,7 +20,10 @@ The math functions in this module (``sqrt``, ``exp``, ``softplus``, ...)
 dispatch on their argument: ``Var`` inputs are recorded on the tape, plain
 arrays and floats fall through to numpy.  Formulas written against them
 therefore run both in recording mode (training) and in raw numpy mode
-(rollouts, evaluation), from a single source.
+(rollouts, evaluation), from a single source.  Numpy mode is plain arrays
+in, plain arrays out, and no tape touched: each op tells it apart with one
+type test (``Var in map(type, operands)`` for several operands) and then
+runs only its ufuncs, building no operand lists on the way.
 
 All numerics are float64.
 """
@@ -312,17 +315,17 @@ def vmean(x):
 
 
 def take_col(x, j: int):
-    """Entry ``j`` of the last axis, ``x[..., j]``."""
-    col = _value(x)[..., j]
-    if not _is_var(x):
-        return col
+    """Entry ``j`` of the last axis, ``x[..., j]``; a plain array gives its
+    float64 column and touches no tape."""
+    if not isinstance(x, Var):
+        return np.asarray(x, dtype=np.float64)[..., j]
 
     def vjp(g, shape=x.shape, j=j):
         out = np.zeros(shape)
         out[..., j] = g
         return (out,)
 
-    return x.tape._record(col.copy(), (x.idx,), vjp)
+    return x.tape._record(x.value[..., j].copy(), (x.idx,), vjp)
 
 
 def stack_last(parts: Sequence):
@@ -330,16 +333,20 @@ def stack_last(parts: Sequence):
 
     Parts may mix Vars with plain arrays and floats; constants are
     broadcast to the common shape, which every Var part must have.
+    Without a Var part the stack is a plain float64 array.
     """
-    vals = [_value(p) for p in parts]
+    tape_mode = Var in map(type, parts)
+    vals = [_value(p) for p in parts] if tape_mode else parts
     shape = np.broadcast(*vals).shape
-    ks = [k for k, p in enumerate(parts) if _is_var(p)]
-    if any(parts[k].shape != shape for k in ks):
-        raise ConfigurationError("stack_last parts must share a shape")
     out = np.empty((*shape, len(vals)))
     for k, v in enumerate(vals):
         out[..., k] = v
-    return record(out, parts, lambda g, ks=ks: [g[..., k] for k in ks]) if ks else out
+    if not tape_mode:
+        return out
+    ks = [k for k, p in enumerate(parts) if _is_var(p)]
+    if any(parts[k].shape != shape for k in ks):
+        raise ConfigurationError("stack_last parts must share a shape")
+    return record(out, parts, lambda g, ks=ks: [g[..., k] for k in ks])
 
 
 # -- backward pass -----------------------------------------------------------
@@ -496,8 +503,9 @@ def _activation_channel(zd: list, k: int, d1: Array, d2, pairs: list) -> Array:
     """Derivative channel ``k`` of an activation's output, from its input's
     derivative channels ``zd``: d1*t for a first-order channel t and
     d2*(t_p*t_q) + d1*s for the second-order channel s of pair (p, q), or
-    d1*s where phi'' vanishes (``d2`` None).  The forward pass and the
-    reverse sweep both build channels here, so they agree bit for bit."""
+    d1*s where phi'' vanishes (``d2`` None).  The reverse sweep and the
+    order-2 forward pass build channels here, and the order-1 forward pass
+    writes the same d1*t inline, so rebuilt channels agree bit for bit."""
     d = len(zd) - len(pairs)
     if k < d or d2 is None:
         return d1 * zd[k]
@@ -530,16 +538,21 @@ def mlp_jet(
     pairs = _pairs(d) if order == 2 else []
     z = [a @ w.T + biases[0]]
     if order >= 1:
-        z += [w[:, k] for k in range(d)]
+        z += list(w.T)  # W0's columns
     z += [0.0] * len(pairs)
     for i in range(1, len(weights)):
         phi, base = activation_value_and_base(activation, z[0])
         zd = z[1:]
-        d1, d2, _ = activation_derivatives(activation, base, order) if order else (None, None, None)
         if saves is not None:
             saves.append((zd, base, phi))
         wt = weights[i].T
-        z = [phi @ wt + biases[i]] + [_activation_channel(zd, k, d1, d2, pairs) @ wt for k in range(len(zd))]
+        z = [phi @ wt + biases[i]]
+        if order == 1:  # first-order channels only: d1*t
+            d1 = activation_derivatives(activation, base, 1)[0]
+            z += [(d1 * t) @ wt for t in zd]
+        elif order == 2:
+            d1, d2, _ = activation_derivatives(activation, base, 2)
+            z += [_activation_channel(zd, k, d1, d2, pairs) @ wt for k in range(len(zd))]
     if len(weights) == 1:  # no hidden layer: derivative channels are constants
         z[1:] = [np.broadcast_to(c, z[0].shape) for c in z[1:]]
     return z
@@ -600,27 +613,29 @@ def jet_node(positions: Sequence, weights: Sequence, biases: Sequence, activatio
     ``positions`` holds the (N, d) or (d,) input, or its d columns of
     shape (N,) or (); constants are float64 arrays, and columns may also
     be floats.  Without a Var operand the output channels come back as
-    numpy arrays, each (N, out), or (out,) for one point.  Otherwise they
-    are recorded side by side as one node valued (N, C * out) or
-    (C * out,), whose backward is :func:`mlp_jet_vjp`.
+    numpy arrays, each (N, out), or (out,) for one point, and no tape is
+    touched.  Otherwise they are recorded side by side as one node valued
+    (N, C * out) or (C * out,), whose backward is :func:`mlp_jet_vjp`.
     """
-    operands = [*positions, *weights, *biases]
-    is_var = [isinstance(v, Var) for v in operands]
-    vals = [v.value if var else v for v, var in zip(operands, is_var)]
+    operands = (*positions, *weights, *biases)
     n_pos, n_layers = len(positions), len(weights)
-    a = vals[0] if n_pos == 1 else stack_last(vals[:n_pos])
-    w_vals, b_vals = vals[n_pos : n_pos + n_layers], vals[n_pos + n_layers :]
+    saves = None
+    if Var in map(type, operands):
+        is_var = [isinstance(v, Var) for v in operands]
+        vals = [v.value if var else v for v, var in zip(operands, is_var)]
+        positions, weights, biases = vals[:n_pos], vals[n_pos : n_pos + n_layers], vals[n_pos + n_layers :]
+        saves = []
+    a = positions[0] if n_pos == 1 else stack_last(positions)
     lifted = a.ndim == 1
     if lifted:
         a = a[None, :]
-    saves = [] if any(is_var) else None
-    z = mlp_jet(w_vals, b_vals, a, activation, order, saves)
+    z = mlp_jet(weights, biases, a, activation, order, saves)
     if saves is None:
         return [c[0] for c in z] if lifted else z
     value = np.concatenate(z, axis=-1)
 
     def vjp(
-        g, w_vals=w_vals, a=a, saves=saves, activation=activation, order=order,
+        g, w_vals=weights, a=a, saves=saves, activation=activation, order=order,
         width=z[0].shape[1], lifted=lifted, n_pos=n_pos, is_var=is_var,
     ):
         gb = g[None, :] if lifted else g
@@ -638,10 +653,10 @@ def forward_mlp(weights: Sequence, biases: Sequence, x, activation: str):
 
     Weights are (out, in), one per layer; their shapes are the caller's to
     check.  On the tape (Var weights or input) the whole network is one
-    node, which keeps training fast.
+    node, which keeps training fast; plain arrays give a plain array.
     """
     out = jet_node([x], weights, biases, activation)
-    return out if _is_var(out) else out[0]
+    return out if isinstance(out, Var) else out[0]
 
 
 # -- Adam ---------------------------------------------------------------------

@@ -27,6 +27,8 @@ differentiable with respect to both the parameters and the positions.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import asdict, dataclass, fields
 from typing import Mapping, Sequence
 
@@ -133,10 +135,16 @@ def init_params(desc: ModelDescriptor) -> ad.ParamStore:
     return store
 
 
-def _layers(params: Mapping, prefix: str, desc: ModelDescriptor) -> tuple[list, list]:
+@functools.cache
+def _layer_getters(prefix: str, depth: int) -> tuple[operator.itemgetter, ...]:
+    """Getters of the weights and of the biases of a network of ``depth`` >= 2 layers."""
+    return tuple(operator.itemgetter(*[f"{prefix}{kind}{i}" for i in range(depth)]) for kind in "Wb")
+
+
+def _layers(params: Mapping, prefix: str, desc: ModelDescriptor) -> tuple[tuple, tuple]:
     """The weights and the biases of one network, in layer order."""
-    n = len(desc.hidden) + 1
-    return [params[f"{prefix}W{i}"] for i in range(n)], [params[f"{prefix}b{i}"] for i in range(n)]
+    weights, biases = _layer_getters(prefix, len(desc.hidden) + 1)
+    return weights(params), biases(params)
 
 
 # -- coefficient network --------------------------------------------------------
@@ -218,12 +226,13 @@ class StreamFlow(ph.FlowField):
     desc: ModelDescriptor
 
     def _eval(self, x, y) -> StreamEval:
-        """Order-1 :func:`stream_eval` at (x, y), its fields in their shape."""
-        if max(np.ndim(x), np.ndim(y)) <= 1 or isinstance(x, ad.Var) or isinstance(y, ad.Var):
-            return stream_eval(self.params, x, y, self.desc, order=1)
-        x, y = np.broadcast_arrays(x, y)
-        jet = stream_eval(self.params, x.ravel(), y.ravel(), self.desc, order=1)
-        return StreamEval(*(f.reshape(x.shape) for f in (jet.psi, jet.gx, jet.gy)))
+        """Order-1 :func:`stream_eval` at (x, y), its fields in their shape;
+        stream_eval checks every position but a numpy grid's."""
+        if isinstance(x, np.ndarray) and x.ndim > 1 or isinstance(y, np.ndarray) and y.ndim > 1:
+            x, y = np.broadcast_arrays(x, y)
+            jet = stream_eval(self.params, x.ravel(), y.ravel(), self.desc, order=1)
+            return StreamEval(*(f.reshape(x.shape) for f in (jet.psi, jet.gx, jet.gy)))
+        return stream_eval(self.params, x, y, self.desc, order=1)
 
     def velocity(self, x, y, t):
         return self._eval(x, y).velocity()
@@ -325,14 +334,14 @@ def fhnn_derivative(s, t, params: Mapping, model: DynamicsModel, jet: StreamEval
     The ablations zero their coefficients here.
     """
     desc = model.descriptor
-    x, y, vx, vy = (ad.take_col(s, j) for j in range(4))
+    x, y, vx, vy = [ad.take_col(s, j) for j in range(4)]
     flow = model.flow(params)
     use_jet = jet is not None and isinstance(flow, StreamFlow)
     ux, uy = jet.velocity() if use_jet else flow.velocity(x, y, t)
 
     def coefficients(r, sigma):
         coeffs = coefficient_net(params, ad.stack_last([r, sigma]), desc)
-        m_ax, m_ay, c_q, c_l = (ad.take_col(coeffs, j) for j in range(4))
+        m_ax, m_ay, c_q, c_l = [ad.take_col(coeffs, j) for j in range(4)]
         if desc.variant == "no_added_mass":
             m_ax = m_ay = 0.0
         if desc.variant == "no_linear_drag":
@@ -402,12 +411,13 @@ def rollout_model(
     steps_per = np.rint(cps / step).astype(int)
     if not np.allclose(steps_per * step, cps, rtol=0.0, atol=1e-9):
         raise ConfigurationError("rollout step must divide every checkpoint time")
+    sampled = set(steps_per.tolist())
 
     n_steps = int(round(duration / step)) if duration > 0 else 0
     diverged = np.zeros(s.shape[0], dtype=bool)
     diverged_at = np.full(s.shape[0], np.nan)
     samples = {}
-    if 0 in steps_per:
+    if 0 in sampled:
         samples[0] = s.copy()
     with np.errstate(all="ignore"):
         for i in range(n_steps):
@@ -415,14 +425,13 @@ def rollout_model(
             # rows are independent, so a blowing-up row cannot poison its
             # neighbours; flagged rows stay frozen via np.where
             proposal = ph.rk4_step(derivative_fn, s, t, step)
-            bad = ~np.all(np.isfinite(proposal), axis=-1) | np.any(
-                np.abs(proposal) > DIVERGENCE_LIMIT, axis=-1
-            )
-            newly = bad & ~diverged
-            diverged_at[newly] = t + step
-            diverged |= bad
-            s = np.where(diverged[:, None], s, proposal)
-            if (i + 1) in steps_per:
+            # NaN and inf fail the comparison too
+            bad = ~(np.abs(proposal) <= DIVERGENCE_LIMIT).all(axis=-1)
+            if bad.any():
+                diverged_at[bad & ~diverged] = t + step
+                diverged |= bad
+            s = np.where(diverged[:, None], s, proposal) if diverged.any() else proposal
+            if i + 1 in sampled:
                 samples[i + 1] = s.copy()
     states = np.stack([samples[k] for k in steps_per], axis=0)
     if single:

@@ -297,8 +297,9 @@ def body_acceleration(state: State, t, ux, uy, coefficients, body: BodyPropertie
     q = -0.5 * fluid.rho * fluid.area * c_q * sigma
     fqx = q * vrx
     fqy = q * vry
-    flx = -c_l * vrx
-    fly = -c_l * vry
+    neg_c_l = -c_l
+    flx = neg_c_l * vrx
+    fly = neg_c_l * vry
     fext = body.external_force(state, t)
     fx = fqx + flx + fext.x
     fy = fqy + fly + fext.y

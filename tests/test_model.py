@@ -1,7 +1,10 @@
+import collections
 import dataclasses
 import hashlib
 import json
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,10 +239,16 @@ def _same_bits(a, b) -> bool:
 
 
 @pytest.mark.parametrize("variant", md.VARIANTS)
-def test_tape_mode_forward_equals_numpy_mode_bitwise(variant):
-    scenario = ph.make_scenario("steady_vortex")
-    m = md.DynamicsModel.initialize(variant, seed=4, body=scenario.body, fluid=scenario.fluid)
-    s = np.random.default_rng(5).uniform(-2.0, 2.0, size=(9, 4))
+@given(
+    seed=st.integers(0, 2**16),
+    rows=st.integers(0, 8),  # 0 stands for the single (4,) state
+    data_seed=st.integers(0, 2**16),
+)
+def test_tape_mode_forward_equals_numpy_mode_bitwise(variant, seed, rows, data_seed):
+    # numpy mode leaves the tape layer after one type test; what it computes
+    # must still be what the tape records
+    m = md.DynamicsModel.initialize(variant, seed=seed, body=VORTEX.body, fluid=VORTEX.fluid)
+    s = np.random.default_rng(data_seed).uniform(-2.0, 2.0, size=(rows, 4) if rows else (4,))
 
     tape = ad.Tape()
     leaves = m.params.as_leaves(tape)
@@ -250,10 +259,37 @@ def test_tape_mode_forward_equals_numpy_mode_bitwise(variant):
     if not m.descriptor.learns_flow:
         return
     for order in (1, 2):
-        ev_tape = md.stream_eval(leaves, s[:, 0], s[:, 1], m.descriptor, order=order)
-        ev_np = md.stream_eval(m.params, s[:, 0], s[:, 1], m.descriptor, order=order)
+        ev_tape = md.stream_eval(leaves, s[..., 0], s[..., 1], m.descriptor, order=order)
+        ev_np = md.stream_eval(m.params, s[..., 0], s[..., 1], m.descriptor, order=order)
         for c_tape, c_np in zip(_jet(ev_tape, order), _jet(ev_np, order)):
             assert _same_bits(c_tape.value, c_np)
+
+
+# Python calls inside floatdyn per numpy-mode derivative on (4, 4) states, by
+# sys.setprofile: a noise-free counterpart of rollout speed, as tape nodes per
+# step is of training speed.  169 and 63 while every op built operand lists
+# and converted each operand through helpers before it found no Var.
+NUMPY_MODE_CALL_BUDGET = {"fhnn": 72, "neural_ode": 21}
+
+
+@pytest.mark.parametrize("variant", sorted(NUMPY_MODE_CALL_BUDGET))
+def test_numpy_mode_derivative_stays_within_its_call_budget(variant):
+    m = md.DynamicsModel.initialize(variant, seed=3, body=VORTEX.body, fluid=VORTEX.fluid)
+    s = np.random.default_rng(0).uniform(-2.0, 2.0, size=(4, 4))
+    m.derivative(s, 0.0)  # fills the per-network caches
+    package = str(Path(md.__file__).parent)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        m.derivative(s, 0.0)
+    finally:
+        sys.setprofile(None)
+    assert len(calls) <= NUMPY_MODE_CALL_BUDGET[variant], collections.Counter(calls)
 
 
 @pytest.mark.parametrize("order, limit", [(1, 4), (2, 7)])
