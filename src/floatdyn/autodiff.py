@@ -1,13 +1,14 @@
 """Reverse-mode automatic differentiation on array-valued tapes.
 
-A :class:`Tape` records every operation applied to :class:`Var` handles;
-:func:`backward` replays the record once in reverse to accumulate exact
-adjoints.  Each node keeps one backward callback, which maps the node's
-adjoint to one adjoint per parent; :func:`record` adds a node whose
-parents are the Var operands of an operation.  A callback captures
-arrays and shapes, never a Var, so a tape is freed by reference counting.
-The Adam optimizer lives here too, and so does the one dense
-network, on weight and bias lists (parameter names are the model's):
+A :class:`Tape` records every operation applied to :class:`Var` handles,
+each holding its node's value; :func:`backward` replays the record once in
+reverse to accumulate exact adjoints.  Each node keeps one backward
+callback, which maps the node's adjoint to one adjoint per parent;
+:func:`record` adds a node whose parents are the Var operands of an
+operation.  A callback captures arrays and shapes, never a Var, so a tape
+is freed by reference counting.  Adam lives here too, on a
+:class:`ParamStore`, a dict whose layout the model checks, and so does the
+one dense network, on weight and bias lists (parameter names are the model's):
 :func:`mlp_jet` pushes its value and, in Taylor mode, its first and
 second input-derivatives over d inputs through it in numpy, and
 :func:`mlp_jet_vjp` is its reverse sweep.  :func:`forward_mlp` is order 0
@@ -31,7 +32,7 @@ All numerics are float64.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -100,7 +101,7 @@ class Tape:
         self.values.append(value)
         self.parents.append(parents)
         self.vjps.append(vjp)
-        return Var(self, len(self.values) - 1)
+        return Var(self, len(self.values) - 1, value)
 
     def adjoint(self, var: "Var") -> Array:
         """Adjoint of ``var`` after :func:`backward`; exact zero if unreachable."""
@@ -117,7 +118,7 @@ def record(value: Array, operands: Sequence, vjp) -> "Var":
 
     ``vjp(g)`` returns one adjoint per parent, in operand order.
     """
-    parents = [v for v in operands if _is_var(v)]
+    parents = [v for v in operands if isinstance(v, Var)]
     tape = parents[0].tape
     if any(p.tape is not tape for p in parents):
         raise UsageError("cannot mix Vars from different tapes")
@@ -140,8 +141,8 @@ def _binary(x, y, op: str) -> "Var":
     """Record ``x op y`` where x or y is a Var; a constant operand gets no adjoint."""
     fn, dx, dy = _BINARY[op]
     a, b = _value(x), _value(y)
-    dx = dx if _is_var(x) else None
-    dy = dy if _is_var(y) else None
+    dx = dx if isinstance(x, Var) else None
+    dy = dy if isinstance(y, Var) else None
     return record(
         fn(a, b),
         (x, y),
@@ -152,18 +153,15 @@ def _binary(x, y, op: str) -> "Var":
 
 
 class Var:
-    """Handle to one tape node.  Supports numpy-style arithmetic."""
+    """Handle to one tape node, holding its value.  Supports numpy-style arithmetic."""
 
-    __slots__ = ("tape", "idx")
+    __slots__ = ("tape", "idx", "value")
     __array_ufunc__ = None  # force numpy to defer to our reflected operators
 
-    def __init__(self, tape: Tape, idx: int) -> None:
+    def __init__(self, tape: Tape, idx: int, value: Array) -> None:
         self.tape = tape
         self.idx = idx
-
-    @property
-    def value(self) -> Array:
-        return self.tape.values[self.idx]
+        self.value = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -211,12 +209,8 @@ class Var:
         return self.tape._record(a**p, (self.idx,), lambda g, a=a, p=p: (g * p * a ** (p - 1.0),))
 
 
-def _is_var(x) -> bool:
-    return isinstance(x, Var)
-
-
 def _value(x) -> Array:
-    return x.value if _is_var(x) else _const(x)
+    return x.value if isinstance(x, Var) else _const(x)
 
 
 # -- elementwise functions (dispatch Var / numpy) --------------------------
@@ -234,14 +228,14 @@ def _softplus_value(z: Array) -> Array:
 
 
 def sigmoid(x):
-    if _is_var(x):
+    if isinstance(x, Var):
         y = _sigmoid_value(x.value)
         return x.tape._record(y, (x.idx,), lambda g, y=y: (g * y * (1.0 - y),))
     return _sigmoid_value(_const(x))
 
 
 def softplus(x):
-    if _is_var(x):
+    if isinstance(x, Var):
         z = x.value
         y = _softplus_value(z)
         s = _sigmoid_value(z)
@@ -279,14 +273,14 @@ def activation_derivatives(name: str, base: Array, order: int = 1):
 
 
 def exp(x):
-    if _is_var(x):
+    if isinstance(x, Var):
         y = np.exp(x.value)
         return x.tape._record(y, (x.idx,), lambda g, y=y: (g * y,))
     return np.exp(x)
 
 
 def sqrt(x):
-    if _is_var(x):
+    if isinstance(x, Var):
         y = np.sqrt(x.value)
         return x.tape._record(y, (x.idx,), lambda g, y=y: (g / (2.0 * y),))
     return np.sqrt(x)
@@ -297,7 +291,7 @@ def sqrt(x):
 
 def vsum(x):
     """Sum all entries to a scalar."""
-    if _is_var(x):
+    if isinstance(x, Var):
         a = x.value
         out = _const(a.sum())
         return x.tape._record(out, (x.idx,), lambda g, s=a.shape: (np.broadcast_to(g, s),))
@@ -306,7 +300,7 @@ def vsum(x):
 
 def vmean(x):
     """Mean of all entries as a scalar."""
-    if _is_var(x):
+    if isinstance(x, Var):
         a = x.value
         n = a.size
         out = _const(a.mean())
@@ -343,7 +337,7 @@ def stack_last(parts: Sequence):
         out[..., k] = v
     if not tape_mode:
         return out
-    ks = [k for k, p in enumerate(parts) if _is_var(p)]
+    ks = [k for k, p in enumerate(parts) if isinstance(p, Var)]
     if any(parts[k].shape != shape for k in ks):
         raise ConfigurationError("stack_last parts must share a shape")
     return record(out, parts, lambda g, ks=ks: [g[..., k] for k in ks])
@@ -387,51 +381,24 @@ def parameter_gradients(tape: Tape, leaves: Mapping[str, Var]) -> dict[str, Arra
 CHECKPOINT_FORMAT = "floatdyn-checkpoint-v1"
 
 
-class ParamStore:
-    """Named float64 parameter tensors with a stable iteration order."""
+class ParamStore(dict):
+    """Named float64 parameter tensors, a dict that the constructor fills with
+    float64 copies.  It checks no layout: ``model.DynamicsModel`` checks the
+    names and shapes once, when the model is built."""
 
     def __init__(self, tensors: Mapping[str, Array] | None = None) -> None:
-        self._tensors: dict[str, Array] = {}
-        if tensors:
-            for name, value in tensors.items():
-                self.add(name, value)
-
-    def add(self, name: str, value) -> None:
-        if name in self._tensors:
-            raise ConfigurationError(f"duplicate parameter name: {name!r}")
-        self._tensors[name] = _const(value).copy()
-
-    def __getitem__(self, name: str) -> Array:
-        return self._tensors[name]
-
-    def __setitem__(self, name: str, value) -> None:
-        if name not in self._tensors:
-            raise ConfigurationError(f"unknown parameter name: {name!r}")
-        new = _const(value)
-        if new.shape != self._tensors[name].shape:
-            raise ConfigurationError(
-                f"shape mismatch for {name!r}: {new.shape} vs {self._tensors[name].shape}"
-            )
-        self._tensors[name] = new
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
-    def __len__(self) -> int:
-        return len(self._tensors)
+        super().__init__({name: np.array(value, dtype=np.float64) for name, value in (tensors or {}).items()})
 
     def names(self) -> list[str]:
-        return list(self._tensors)
-
-    def items(self):
-        return self._tensors.items()
+        return list(self)
 
     def copy(self) -> "ParamStore":
-        return ParamStore({k: v.copy() for k, v in self._tensors.items()})
+        """A store of copies, sharing no array with this one."""
+        return ParamStore(self)
 
     def as_leaves(self, tape: Tape) -> dict[str, Var]:
         """Record every tensor as a tape leaf; returns name -> Var."""
-        return {name: tape.leaf(value) for name, value in self._tensors.items()}
+        return {name: tape.leaf(value) for name, value in self.items()}
 
 
 def save_checkpoint(path, params: ParamStore, metadata: Mapping) -> None:
@@ -480,7 +447,7 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
                 )
             if not np.all(np.isfinite(data)):
                 raise ConfigurationError(f"checkpoint {path}: tensor {name!r} holds non-finite values")
-            store.add(name, data.reshape(shape))
+            store[name] = data.reshape(shape)
         return store, metadata
     except KeyError as err:
         raise ConfigurationError(f"checkpoint {path} lacks key {err.args[0]!r}") from None
@@ -672,9 +639,9 @@ class AdamState:
     and the denominator guard are the ``ADAM_*`` constants."""
 
     lr: float
-    t: int = 0
-    m: dict[str, Array] = field(default_factory=dict)
-    v: dict[str, Array] = field(default_factory=dict)
+    t: int
+    m: dict[str, Array]
+    v: dict[str, Array]
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.lr < np.inf:
@@ -682,11 +649,8 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: ParamStore, lr: float) -> "AdamState":
-        state = cls(lr=lr)
-        for name, value in params.items():
-            state.m[name] = np.zeros_like(value)
-            state.v[name] = np.zeros_like(value)
-        return state
+        zeros = lambda: {name: np.zeros_like(value) for name, value in params.items()}
+        return cls(lr=lr, t=0, m=zeros(), v=zeros())
 
 
 def adam_step(params: ParamStore, grads: Mapping[str, Array], state: AdamState) -> None:

@@ -128,10 +128,10 @@ def init_params(desc: ModelDescriptor) -> ad.ParamStore:
     store = ad.ParamStore()
     for name, shape in desc.param_shapes().items():
         if len(shape) == 1:  # a bias
-            store.add(name, np.zeros(shape))
+            store[name] = np.zeros(shape)
         else:
             bound = np.sqrt(6.0 / sum(shape))
-            store.add(name, rng.uniform(-bound, bound, size=shape))
+            store[name] = rng.uniform(-bound, bound, size=shape)
     return store
 
 
@@ -287,9 +287,11 @@ class DynamicsModel:
         """State derivative for (4,) or (N, 4) states; tape mode when params are Vars.
 
         ``jet`` is an optional ``stream_eval`` of these params at the positions
-        of ``s``; see :func:`fhnn_derivative`.
+        of ``s``; see :func:`fhnn_derivative`.  Other states are read as float64 arrays.
         """
-        shape = np.shape(s)
+        if not isinstance(s, ad.Var):
+            s = np.asarray(s, dtype=np.float64)
+        shape = s.shape
         if len(shape) not in (1, 2) or shape[-1] != 4:
             raise ConfigurationError(f"model states must be (4,) or (N, 4), got {shape}")
         p = self.params if params is None else params

@@ -37,9 +37,10 @@ SCENARIO_KINDS = (
 _NOISE_STREAM = 7701  # rng stream tag for per-trajectory flow perturbations
 OBSTACLE_CORE_FRAC = 0.3  # ObstacleFlow freezes psi inside this fraction of the radius
 RADIAL_AMP = 0.1  # radial coefficients: m_ax(r) = m_ax * (1 + RADIAL_AMP * exp(-r))
-# generate_dataset: start radius and speed ranges, RK4 steps per sample
+# generate_dataset: start radius and speed ranges, sample interval (s), RK4 steps per sample
 R_RANGE = (0.5, 4.0)
 SPEED_RANGE = (0.0, 0.5)
+DT_SAMPLE = 0.05
 SUBSTEPS = 10
 
 
@@ -246,12 +247,11 @@ class ObstacleFlow(FlowField):
 
     Exact outside the cylinder; inside r < OBSTACLE_CORE_FRAC*R the
     streamfunction is frozen at the core radius so velocity stays finite
-    everywhere.  The contracted region of validity is r >= margin*R.
+    everywhere.  Nothing keeps a body outside the cylinder.
     """
 
     u_inf: float
     radius: float
-    margin: float
 
     def _core2(self) -> float:
         return (OBSTACLE_CORE_FRAC * self.radius) ** 2
@@ -543,7 +543,7 @@ _SCENARIO_DEFAULTS: dict[str, dict] = {
         "k_min": 0.3,
         "k_max": 1.0,
     },
-    "obstacle_flow": {"u_inf": 0.5, "radius": 1.0, "margin": 1.2},
+    "obstacle_flow": {"u_inf": 0.5, "radius": 1.0},
     "morison_wave": {
         "wave_speed": 0.3,
         "wave_period": 4.0,
@@ -689,7 +689,7 @@ def make_scenario(kind: str, params: Mapping | None = None) -> Scenario:
         # from Scenario.trajectory_flow
         flow = SteadyVortexFlow(omega=resolved["omega"], r_core=resolved["r_core"])
     elif kind == "obstacle_flow":
-        flow = ObstacleFlow(u_inf=resolved["u_inf"], radius=resolved["radius"], margin=resolved["margin"])
+        flow = ObstacleFlow(u_inf=resolved["u_inf"], radius=resolved["radius"])
         min_start_radius = 1.5 * resolved["radius"]
     else:  # morison_wave
         flow = ZeroFlow()
@@ -731,10 +731,10 @@ def generate_dataset(
     n_train: int,
     n_test: int,
     duration: float = 8.0,
-    dt_sample: float = 0.05,
     seed: int = 0,
 ) -> Dataset:
-    """Integrate ground truth for n_train+n_test seeded trajectories.
+    """Integrate ground truth for n_train+n_test seeded trajectories,
+    sampled every DT_SAMPLE seconds.
 
     Each trajectory gets the derived seed (seed XOR index) and a start
     drawn by :func:`draw_initial_state` from R_RANGE and SPEED_RANGE
@@ -744,13 +744,13 @@ def generate_dataset(
     sees its own flow (``noisy_flow``), those flows are stacked row by
     row into one field by :meth:`Scenario.batch_flow`.  Derivative labels
     come from the analytic right-hand side at every sample, evaluated in
-    one vectorised call, and the integrator runs at h = dt_sample/SUBSTEPS
+    one vectorised call, and the integrator runs at h = DT_SAMPLE/SUBSTEPS
     so label and rollout error stay far below learned-model error floors.
     """
     if n_train < 1 or n_test < 1:
         raise ConfigurationError("n_train and n_test must each be >= 1")
     n_total = n_train + n_test
-    h = dt_sample / SUBSTEPS
+    h = DT_SAMPLE / SUBSTEPS
     traj_seeds = [int(seed) ^ i for i in range(n_total)]
     starts = np.stack(
         [draw_initial_state(np.random.default_rng(ts), scenario.min_start_radius) for ts in traj_seeds]
@@ -765,7 +765,7 @@ def generate_dataset(
             scenario=scenario.kind,
             seed=traj_seeds[i],
             split="train" if i < n_train else "test",
-            dt=dt_sample,
+            dt=DT_SAMPLE,
             times=times,
             states=samples[:, i, :],
             derivs=derivs[:, i, :],
@@ -781,7 +781,7 @@ def generate_dataset(
         "n_train": n_train,
         "n_test": n_test,
         "duration": duration,
-        "dt_sample": dt_sample,
+        "dt_sample": DT_SAMPLE,
         "seed": seed,
         "r_range": list(R_RANGE),
         "speed_range": list(SPEED_RANGE),

@@ -45,9 +45,9 @@ def test_every_public_definition_has_a_caller():
     assert sorted(RESERVED - (public - used)) == [], "drop names from RESERVED once they have a caller"
 
 
-# the count of settable_values() once fhnn_derivative read its flow from the
-# model instead of a flow_override argument
-SETTABLE_VALUES_BOUND = 51
+# the count of settable_values() once AdamState's moments had no defaults and
+# generate_dataset sampled at physics.DT_SAMPLE
+SETTABLE_VALUES_BOUND = 47
 
 
 def _is_public(name: str) -> bool:

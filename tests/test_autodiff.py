@@ -422,6 +422,17 @@ def test_adam_nan_gradient_aborts_without_mutation():
     assert state.t == 0
 
 
+def test_param_store_holds_float64_copies():
+    given = np.array([0.5, -1.5])
+    store = ad.ParamStore({"w": [1, 2], "b": given})
+    assert store["w"].dtype == np.float64 and store["w"].tolist() == [1.0, 2.0]
+    assert not np.shares_memory(store["b"], given)
+    # best_params is a copy that later Adam steps must not reach
+    copy = store.copy()
+    assert isinstance(copy, ad.ParamStore) and copy.names() == ["w", "b"]
+    assert all(np.array_equal(copy[n], store[n]) and not np.shares_memory(copy[n], store[n]) for n in store)
+
+
 # -- checkpoints -------------------------------------------------------------
 
 
@@ -429,7 +440,7 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(13)
     store = ad.ParamStore({f"coeff.{name}": v for name, v in _glorot([2, 64, 64, 4], rng).items()})
     # include awkward values
-    store.add("extra", np.array([1e-300, 1.0 + 2**-52, -0.0, 3.141592653589793]))
+    store["extra"] = np.array([1e-300, 1.0 + 2**-52, -0.0, 3.141592653589793])
     meta = {"variant": "fhnn", "seed": 13, "activation": "tanh"}
     path = tmp_path / "ckpt.json"
     ad.save_checkpoint(path, store, meta)
@@ -494,9 +505,3 @@ def test_checkpoint_rejects_non_finite_values(tmp_path):
     ad.save_checkpoint(path, ad.ParamStore({"b": [0.5], "w": [1.0, np.nan]}), {"seed": 1})
     with pytest.raises(ad.ConfigurationError, match="'w' holds non-finite"):
         ad.load_checkpoint(path)
-
-
-def test_duplicate_parameter_name_rejected():
-    store = ad.ParamStore({"w": [1.0]})
-    with pytest.raises(ad.ConfigurationError):
-        store.add("w", [2.0])

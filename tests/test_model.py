@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from floatdyn import autodiff as ad
 from floatdyn import model as md
 from floatdyn import physics as ph
+from floatdyn import training as tr
 from floatdyn.autodiff import ConfigurationError
 from oracles import fd_gradient, grad_mismatches, plugin_truth_model, sample_coords
 
@@ -239,6 +240,14 @@ def _same_bits(a, b) -> bool:
 
 
 @pytest.mark.parametrize("variant", md.VARIANTS)
+def test_list_states_give_the_array_result_bitwise(variant):
+    m = md.DynamicsModel.initialize(variant, seed=1, body=VORTEX.body, fluid=VORTEX.fluid)
+    s = np.random.default_rng(4).uniform(-2.0, 2.0, size=(3, 4))
+    for state in (s, s[0]):
+        assert _same_bits(m.derivative(state.tolist(), 0.3), m.derivative(state, 0.3))
+
+
+@pytest.mark.parametrize("variant", md.VARIANTS)
 @given(
     seed=st.integers(0, 2**16),
     rows=st.integers(0, 8),  # 0 stands for the single (4,) state
@@ -265,18 +274,9 @@ def test_tape_mode_forward_equals_numpy_mode_bitwise(variant, seed, rows, data_s
             assert _same_bits(c_tape.value, c_np)
 
 
-# Python calls inside floatdyn per numpy-mode derivative on (4, 4) states, by
-# sys.setprofile: a noise-free counterpart of rollout speed, as tape nodes per
-# step is of training speed.  169 and 63 while every op built operand lists
-# and converted each operand through helpers before it found no Var.
-NUMPY_MODE_CALL_BUDGET = {"fhnn": 72, "neural_ode": 21}
-
-
-@pytest.mark.parametrize("variant", sorted(NUMPY_MODE_CALL_BUDGET))
-def test_numpy_mode_derivative_stays_within_its_call_budget(variant):
-    m = md.DynamicsModel.initialize(variant, seed=3, body=VORTEX.body, fluid=VORTEX.fluid)
-    s = np.random.default_rng(0).uniform(-2.0, 2.0, size=(4, 4))
-    m.derivative(s, 0.0)  # fills the per-network caches
+def _floatdyn_calls(fn) -> list[str]:
+    """Names of the Python functions inside floatdyn that ``fn()`` calls, by
+    sys.setprofile: a noise-free counterpart of speed."""
     package = str(Path(md.__file__).parent)
     calls = []
 
@@ -286,10 +286,54 @@ def test_numpy_mode_derivative_stays_within_its_call_budget(variant):
 
     sys.setprofile(profile)
     try:
-        m.derivative(s, 0.0)
+        fn()
     finally:
         sys.setprofile(None)
+    return calls
+
+
+# Python calls inside floatdyn per numpy-mode derivative on (4, 4) states, the
+# counterpart of rollout speed as tape nodes per step is of training speed.
+# 169 and 63 while every op built operand lists and converted each operand
+# through helpers before it found no Var; 72 and 21 while the parameters were
+# read through a checking store and each op called a named isinstance.
+NUMPY_MODE_CALL_BUDGET = {"fhnn": 56, "neural_ode": 15}
+
+
+@pytest.mark.parametrize("variant", sorted(NUMPY_MODE_CALL_BUDGET))
+def test_numpy_mode_derivative_stays_within_its_call_budget(variant):
+    m = md.DynamicsModel.initialize(variant, seed=3, body=VORTEX.body, fluid=VORTEX.fluid)
+    s = np.random.default_rng(0).uniform(-2.0, 2.0, size=(4, 4))
+    m.derivative(s, 0.0)  # fills the per-network caches
+    calls = _floatdyn_calls(lambda: m.derivative(s, 0.0))
     assert len(calls) <= NUMPY_MODE_CALL_BUDGET[variant], collections.Counter(calls)
+
+
+# Python calls inside floatdyn per tape-mode fhnn training step (a fresh tape
+# and its leaves, training_losses, backward and parameter_gradients), whatever
+# the row count: 4,584 while a Var read its value through a property and each
+# op called a named isinstance.
+TAPE_STEP_CALL_BUDGET = 3224
+
+
+def test_tape_mode_training_step_stays_within_its_call_budget():
+    m = md.DynamicsModel.initialize("fhnn", seed=3, body=VORTEX.body, fluid=VORTEX.fluid)
+    rng = np.random.default_rng(0)
+    states = rng.uniform(-2.0, 2.0, size=(16, 4))
+    nexts = states + 0.01 * rng.normal(size=states.shape)
+    derivs = rng.normal(size=states.shape)
+    times = np.zeros(16)
+
+    def step():
+        tape = ad.Tape()
+        leaves = m.params.as_leaves(tape)
+        total, _ = tr.training_losses(m, states, nexts, derivs, times, 0.05, tr.LossWeights(), params=leaves)
+        ad.backward(tape, total)
+        ad.parameter_gradients(tape, leaves)
+
+    step()  # fills the per-network caches
+    calls = _floatdyn_calls(step)
+    assert len(calls) <= TAPE_STEP_CALL_BUDGET, collections.Counter(calls).most_common(10)
 
 
 @pytest.mark.parametrize("order, limit", [(1, 4), (2, 7)])

@@ -453,6 +453,15 @@ def test_out_of_range_scenario_parameter_is_refused_naming_it(kind, key, value):
         ph.make_scenario(kind, {key: value})
 
 
+def test_obstacle_flow_takes_no_margin():
+    # a margin was recorded but never read: 5.0 gave bitwise the default data
+    with pytest.raises(ConfigurationError, match="'margin'"):
+        ph.make_scenario("obstacle_flow", {"margin": 1.2})
+    manifest = ph.generate_dataset(ph.make_scenario("obstacle_flow"), 1, 1, duration=0.1).manifest
+    assert "margin" not in manifest["params"]
+    assert manifest["dt_sample"] == ph.DT_SAMPLE
+
+
 def test_radial_added_mass_field_roundtrip():
     assert ph.make_scenario("steady_vortex", {"radial_added_mass": np.False_}).coeffs.radial is False
     scenario = ph.make_scenario("steady_vortex", {"radial_added_mass": True})
@@ -469,7 +478,7 @@ def test_radial_added_mass_field_roundtrip():
 
 def test_dataset_counts_and_sample_length():
     scenario = ph.make_scenario("steady_vortex")
-    ds = ph.generate_dataset(scenario, n_train=3, n_test=2, duration=1.0, dt_sample=0.05, seed=1)
+    ds = ph.generate_dataset(scenario, n_train=3, n_test=2, duration=1.0, seed=1)
     assert len(ds.trajectories) == 5
     assert all(len(tr.times) == 21 for tr in ds.trajectories)
     assert len(ds.split("train")) == 3
@@ -478,8 +487,8 @@ def test_dataset_counts_and_sample_length():
 
 def test_dataset_is_bitwise_deterministic(tmp_path):
     scenario = ph.make_scenario("noisy_flow")
-    a = ph.generate_dataset(scenario, 2, 1, duration=0.5, dt_sample=0.05, seed=9)
-    b = ph.generate_dataset(scenario, 2, 1, duration=0.5, dt_sample=0.05, seed=9)
+    a = ph.generate_dataset(scenario, 2, 1, duration=0.5, seed=9)
+    b = ph.generate_dataset(scenario, 2, 1, duration=0.5, seed=9)
     pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     a.save(pa)
     b.save(pb)
@@ -488,7 +497,7 @@ def test_dataset_is_bitwise_deterministic(tmp_path):
 
 def test_split_membership_is_exclusive():
     scenario = ph.make_scenario("steady_vortex")
-    ds = ph.generate_dataset(scenario, 4, 2, duration=0.5, dt_sample=0.05, seed=3)
+    ds = ph.generate_dataset(scenario, 4, 2, duration=0.5, seed=3)
     train_ids = {t.traj_id for t in ds.split("train")}
     test_ids = {t.traj_id for t in ds.split("test")}
     assert not (train_ids & test_ids)
@@ -498,7 +507,7 @@ def test_split_membership_is_exclusive():
 def test_trajectories_keep_index_order_past_999():
     # ids gain a fourth digit at 1000, where string order and index order part
     scenario = ph.make_scenario("steady_vortex")
-    ds = ph.generate_dataset(scenario, 1002, 1, duration=0.05, dt_sample=0.05, seed=2)
+    ds = ph.generate_dataset(scenario, 1002, 1, duration=0.05, seed=2)
     train = ds.split("train")
     assert [t.traj_id for t in train] == [f"steady_vortex-{i:03d}" for i in range(1002)]
     assert [t.traj_id for t in ds.split("test")] == ["steady_vortex-1002"]
@@ -509,7 +518,7 @@ def test_trajectories_keep_index_order_past_999():
 @pytest.mark.parametrize("kind", ph.SCENARIO_KINDS)
 def test_derivative_labels_match_analytic_rhs(kind):
     scenario = ph.make_scenario(kind)
-    ds = ph.generate_dataset(scenario, 1, 1, duration=0.5, dt_sample=0.05, seed=5)
+    ds = ph.generate_dataset(scenario, 1, 1, duration=0.5, seed=5)
     tr = ds.trajectories[0]
     f = scenario.derivative_fn(scenario.trajectory_flow(tr.seed))
     for k in (0, 5, 10):
@@ -519,7 +528,7 @@ def test_derivative_labels_match_analytic_rhs(kind):
 
 def test_batched_noisy_flow_dataset_equals_per_trajectory_integration():
     scenario = ph.make_scenario("noisy_flow")
-    ds = ph.generate_dataset(scenario, 3, 2, duration=0.5, dt_sample=0.05, seed=6)
+    ds = ph.generate_dataset(scenario, 3, 2, duration=0.5, seed=6)
     for tr in ds.trajectories:
         f = scenario.derivative_fn(scenario.trajectory_flow(tr.seed))
         times, states = ph.integrate(f, tr.states[:1], 0.0, 0.5, 0.005, sample_every=10)
@@ -556,7 +565,7 @@ def test_noisy_perturbation_amplitude_is_bounded():
 
 def test_obstacle_starts_sampled_outside_obstacle():
     scenario = ph.make_scenario("obstacle_flow")
-    ds = ph.generate_dataset(scenario, 6, 2, duration=0.5, dt_sample=0.05, seed=2)
+    ds = ph.generate_dataset(scenario, 6, 2, duration=0.5, seed=2)
     for tr in ds.trajectories:
         r0 = np.hypot(tr.states[0, 0], tr.states[0, 1])
         assert r0 >= 1.5
@@ -564,7 +573,7 @@ def test_obstacle_starts_sampled_outside_obstacle():
 
 def test_dataset_jsonl_roundtrip(tmp_path):
     scenario = ph.make_scenario("steady_vortex")
-    ds = ph.generate_dataset(scenario, 2, 1, duration=0.5, dt_sample=0.05, seed=4)
+    ds = ph.generate_dataset(scenario, 2, 1, duration=0.5, seed=4)
     jsonl = tmp_path / "data.jsonl"
     manifest = tmp_path / "manifest.json"
     ds.save(jsonl, manifest)
@@ -583,7 +592,7 @@ def test_dataset_load_refuses_a_missing_manifest(tmp_path):
     # without a manifest path the manifest is empty; a path that names no
     # file is refused, not read as an empty manifest
     scenario = ph.make_scenario("steady_vortex")
-    ph.generate_dataset(scenario, 1, 1, duration=0.5, dt_sample=0.05, seed=4).save(tmp_path / "data.jsonl")
+    ph.generate_dataset(scenario, 1, 1, duration=0.5, seed=4).save(tmp_path / "data.jsonl")
     assert ph.Dataset.load(tmp_path / "data.jsonl").manifest == {}
     with pytest.raises(ConfigurationError, match="manifest .*missing.json does not exist"):
         ph.Dataset.load(tmp_path / "data.jsonl", tmp_path / "missing.json")
@@ -591,7 +600,7 @@ def test_dataset_load_refuses_a_missing_manifest(tmp_path):
 
 def test_dataset_load_names_a_missing_key_and_its_line(tmp_path):
     scenario = ph.make_scenario("steady_vortex")
-    ph.generate_dataset(scenario, 1, 1, duration=0.5, dt_sample=0.05, seed=4).save(tmp_path / "data.jsonl")
+    ph.generate_dataset(scenario, 1, 1, duration=0.5, seed=4).save(tmp_path / "data.jsonl")
     lines = (tmp_path / "data.jsonl").read_text().splitlines()
 
     def drop_dt(record):
@@ -614,7 +623,7 @@ def test_dataset_load_names_a_missing_key_and_its_line(tmp_path):
 @pytest.mark.parametrize("key", ["states", "derivs"])
 def test_dataset_load_rejects_non_finite_values(tmp_path, key):
     scenario = ph.make_scenario("steady_vortex")
-    ph.generate_dataset(scenario, 1, 1, duration=0.5, dt_sample=0.05, seed=4).save(tmp_path / "data.jsonl")
+    ph.generate_dataset(scenario, 1, 1, duration=0.5, seed=4).save(tmp_path / "data.jsonl")
     lines = (tmp_path / "data.jsonl").read_text().splitlines()
     record = json.loads(lines[1])
     record[key][3][2] = float("nan") if key == "states" else float("inf")

@@ -20,13 +20,13 @@ VORTEX = ph.make_scenario("steady_vortex")
 @pytest.fixture(scope="module")
 def vortex_dataset():
     scenario = ph.make_scenario("steady_vortex")
-    return scenario, ph.generate_dataset(scenario, 6, 2, duration=1.0, dt_sample=0.05, seed=0)
+    return scenario, ph.generate_dataset(scenario, 6, 2, duration=1.0, seed=0)
 
 
 @pytest.fixture(scope="module")
 def morison_dataset():
     scenario = ph.make_scenario("morison_wave")
-    return scenario, ph.generate_dataset(scenario, 6, 2, duration=1.0, dt_sample=0.05, seed=0)
+    return scenario, ph.generate_dataset(scenario, 6, 2, duration=1.0, seed=0)
 
 
 def _batch(dataset, k=16):
@@ -330,7 +330,7 @@ NAN = float("nan")
         (lambda: tr.LossWeights(w_deriv=NAN), ConfigurationError, "w_deriv"),
         (lambda: tr.TrainConfig(base_lr=NAN), ConfigurationError, "base_lr"),
         (lambda: tr.TrainConfig(epochs=NAN), ConfigurationError, "epochs"),
-        (lambda: ad.AdamState(lr=NAN), ConfigurationError, "lr"),
+        (lambda: ad.AdamState.for_params(ad.ParamStore({"w": [1.0]}), lr=NAN), ConfigurationError, "lr"),
         (lambda: ph.integrate(lambda s, t: -s, np.ones(4), 0.0, NAN, 0.1), ConfigurationError, "duration"),
         (lambda: md.rollout_model(lambda s, t: -s, np.ones(4), NAN), ConfigurationError, "duration"),
         (
@@ -494,7 +494,7 @@ def test_write_log_csv_roundtrip(vortex_dataset, tmp_path):
 def validation_rows():
     """1,280 held-out rows, as train_fhnn validates on: 8 trajectories of 8 s."""
     scenario = ph.make_scenario("steady_vortex")
-    dataset = ph.generate_dataset(scenario, 8, 1, duration=8.0, dt_sample=0.05, seed=0)
+    dataset = ph.generate_dataset(scenario, 8, 1, duration=8.0, seed=0)
     return scenario, tr.transition_pairs(dataset.split("train"))
 
 
@@ -604,7 +604,7 @@ def test_training_step_tape_stays_under_its_memory_bound():
     # batch 256 when the jets also saved their output channels, 4.39 MB now
     # (9.68 MB before that, when they saved phi', phi'' and phi''')
     scenario = ph.make_scenario("steady_vortex")
-    dataset = ph.generate_dataset(scenario, 13, 1, duration=1.0, dt_sample=0.05, seed=0)
+    dataset = ph.generate_dataset(scenario, 13, 1, duration=1.0, seed=0)
     states, nexts, derivs, times = (v[:256] for v in tr.transition_pairs(dataset.split("train")))
     m = md.DynamicsModel.initialize("fhnn", seed=12, body=scenario.body, fluid=scenario.fluid)
     tracemalloc.start()
