@@ -254,9 +254,10 @@ class DynamicsModel:
     force.  Everything hydrodynamic is either learned (structured variants)
     or absorbed by the black-box baseline; the learned coefficients lie in
     [CAPS/2, CAPS) (see :func:`cap_map`), and :meth:`flow` is the flow the
-    dynamics read.  ``params`` must hold exactly the tensors of
-    :meth:`ModelDescriptor.param_shapes`, which is checked here.  Roll a
-    model out with ``rollout_model(model.derivative, ...)``.
+    dynamics read.  ``params`` must be an ``autodiff.ParamStore`` holding
+    exactly the tensors of :meth:`ModelDescriptor.param_shapes`, which is
+    checked here.  Roll a model out with
+    ``rollout_model(model.derivative, ...)``.
     """
 
     descriptor: ModelDescriptor
@@ -267,6 +268,8 @@ class DynamicsModel:
     flow_override: object = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.params, ad.ParamStore):
+            raise ConfigurationError(f"model params must be an autodiff.ParamStore, got {type(self.params).__name__}")
         shapes = self.descriptor.param_shapes()
         for name, shape in shapes.items():
             if name not in self.params:

@@ -347,15 +347,13 @@ class TrueCoefficients:
 # -- integration -----------------------------------------------------------------
 
 
-def rk4_step(f, s, t, h: float, k1=None):
-    """One classical 4-stage Runge-Kutta step; s may be an array or a Var.
+def rk4_step(f, s, t, h: float):
+    """One classical 4-stage Runge-Kutta step of states ``s`` (an array).
 
-    The only statement of the RK4 stages.  ``k1`` is f(s, t) when the
-    caller already has it.  No stage is checked: callers decide what a
-    non-finite derivative means.
+    The only statement of the RK4 stages.  No stage is checked: callers
+    decide what a non-finite derivative means.
     """
-    if k1 is None:
-        k1 = f(s, t)
+    k1 = f(s, t)
     k2 = f(s + (0.5 * h) * k1, t + 0.5 * h)
     k3 = f(s + (0.5 * h) * k2, t + 0.5 * h)
     k4 = f(s + h * k3, t + h)

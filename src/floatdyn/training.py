@@ -1,8 +1,8 @@
 """Losses and the training loop.
 
-Three loss terms drive identification: an instantaneous derivative match,
-a one-RK4-step state match over the sampling interval, and a Hessian
-penalty that keeps the learned streamfunction smooth.  The loop runs
+Two loss terms drive identification: the regression of the state
+derivative onto its labels, and a Hessian penalty that keeps the learned
+streamfunction smooth.  The loop runs
 minibatch Adam with a piecewise-decaying learning rate over training
 trajectories only, holds out a few of them for model selection, and is
 bitwise deterministic under a fixed seed.
@@ -19,7 +19,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from . import physics as ph
 from .autodiff import ConfigurationError, TrainingDivergedError
 from .model import DynamicsModel, stream_eval
 from .physics import Dataset, Trajectory
@@ -31,10 +30,9 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Weights on the three objective terms; lambda_flow scales the Hessian penalty."""
+    """Weights on the two objective terms; lambda_flow scales the Hessian penalty."""
 
     w_deriv: float = 1.0
-    w_step: float = 1.0
     lambda_flow: float = 1e-4
 
     def __post_init__(self) -> None:
@@ -47,7 +45,6 @@ class LossWeights:
 @dataclass
 class LossBreakdown:
     l_deriv: float
-    l_step: float
     l_smooth: float
     total: float
 
@@ -83,7 +80,11 @@ def learning_rate(config: TrainConfig, epoch: int) -> float:
 
 
 def transition_pairs(trajectories: Sequence[Trajectory]):
-    """Flatten trajectories into (state, next_state, deriv_label, time) samples."""
+    """Flatten trajectories into (state, next_state, deriv_label, time) samples.
+
+    No loss reads the next states; they stay for the benchmark's call sites
+    (see :func:`training_losses`).
+    """
     if not trajectories:
         raise ConfigurationError("no trajectories supplied")
     states, nexts, derivs, times = [], [], [], []
@@ -116,11 +117,6 @@ def split_train_val(trajectories: Sequence[Trajectory], n_val: int):
 # -- loss terms ----------------------------------------------------------------------
 
 
-def _mean_sq_norm(err, n: int):
-    """mean over samples of the squared 2-norm: sum of squares / n."""
-    return ad.vsum(err * err) / float(n)
-
-
 def _smoothness(model: DynamicsModel, positions: Array, lambda_flow: float, params=None):
     """The order-2 psi jet at ``positions`` and the Hessian penalty built on it.
 
@@ -138,36 +134,31 @@ def _smoothness(model: DynamicsModel, positions: Array, lambda_flow: float, para
 def training_losses(
     model: DynamicsModel,
     states: Array,
-    next_states: Array,
+    next_states: Array | None,
     derivs: Array,
     times: Array,
-    delta: float,
+    delta: float | None,
     weights: LossWeights,
     params=None,
 ):
-    """All loss terms at once, sharing two evaluations between them.
+    """Both loss terms at once, sharing one stream evaluation between them.
 
-    ``l_deriv`` and ``l_step`` are the mean squared errors of f(s, t)
-    against the labels and of one RK4 step of size ``delta`` against
-    ``next_states``; ``l_smooth`` is ``lambda_flow`` times the mean squared
-    Frobenius norm of the psi Hessian.  The derivative match is the RK4
-    step's first stage, and that stage reuses the smoothness term's order-2
-    jet, whose psi and gradient columns are bitwise the order-1 evaluation;
-    so each term equals its own definition bit for bit.  Returns
+    ``l_deriv`` is the mean over samples of the squared 2-norm of f(s, t)
+    minus its label; ``l_smooth`` is ``lambda_flow`` times the mean squared
+    Frobenius norm of the psi Hessian.  The derivative reuses the
+    smoothness term's order-2 jet, whose psi and gradient columns are
+    bitwise the order-1 evaluation, so each term equals its own definition
+    bit for bit.  ``next_states`` and ``delta`` are unused: the benchmark
+    passes them by position, and they go with its call sites.  Returns
     (total, LossBreakdown) where total is a Var in tape mode.
     """
-    n = len(states)
     jet, l_smooth = _smoothness(model, states[:, :2], weights.lambda_flow, params=params)
-    f = lambda s, t: model.derivative(s, t, params=params)
-    d1 = model.derivative(states, times, params=params, jet=jet)
-    l_deriv = _mean_sq_norm(d1 - derivs, n)
-    phi = ph.rk4_step(f, states, times, delta, k1=d1)
-    l_step = _mean_sq_norm(phi - next_states, n)
+    err = model.derivative(states, times, params=params, jet=jet) - derivs
+    l_deriv = ad.vsum(err * err) / float(len(states))
 
-    total = weights.w_deriv * l_deriv + weights.w_step * l_step + l_smooth
+    total = weights.w_deriv * l_deriv + l_smooth
     breakdown = LossBreakdown(
         l_deriv=float(_scalar(l_deriv)),
-        l_step=float(_scalar(l_step)),
         l_smooth=float(_scalar(l_smooth)),
         total=float(_scalar(total)),
     )
@@ -178,7 +169,7 @@ def _scalar(x) -> float:
     return float(x.value if isinstance(x, ad.Var) else x)
 
 
-def validation_total(model: DynamicsModel, batch, delta: float, config: TrainConfig) -> float:
+def validation_total(model: DynamicsModel, batch, config: TrainConfig) -> float:
     """Mean total loss over the rows of ``batch`` in numpy mode.
 
     ``batch`` is (states, next_states, derivs, times) as from
@@ -188,14 +179,12 @@ def validation_total(model: DynamicsModel, batch, delta: float, config: TrainCon
     result is the row-weighted mean of the chunk totals, which equals one
     call over all rows up to rounding.
     """
-    states, next_states, derivs, times = batch
+    states, _, derivs, times = batch
     n = len(states)
     weighted = 0.0
     for lo in range(0, n, config.batch_size):
         rows = slice(lo, lo + config.batch_size)
-        _, parts = training_losses(
-            model, states[rows], next_states[rows], derivs[rows], times[rows], delta, config.weights
-        )
+        _, parts = training_losses(model, states[rows], None, derivs[rows], times[rows], None, config.weights)
         weighted += (min(lo + config.batch_size, n) - lo) * parts.total
     return weighted / n
 
@@ -208,7 +197,6 @@ class EpochLog:
     epoch: int
     lr: float
     l_deriv: float
-    l_step: float
     l_smooth: float
     total: float
     val_total: float
@@ -262,9 +250,8 @@ def train(
     train_all = dataset.split("train")
     if not train_all:
         raise ConfigurationError("dataset has no training trajectories")
-    dt = train_all[0].dt
     core, val = split_train_val(train_all, min(config.n_val, max(len(train_all) - 1, 0)))
-    states, nexts, derivs, times = transition_pairs(core)
+    states, _, derivs, times = transition_pairs(core)
     val_batch = transition_pairs(val) if val else None
 
     n = len(states)
@@ -281,17 +268,17 @@ def train(
         lr = learning_rate(config, epoch)
         adam.lr = lr
         perm = rng.permutation(n)
-        sums = np.zeros(4)
+        sums = np.zeros(3)
         for lo in range(0, n, config.batch_size):
             idx = perm[lo : lo + config.batch_size]
             # the last step's tape lives on through this forward, until
-            # ``total`` is rebound, so two tapes (about 4.4 MB each for
+            # ``total`` is rebound, so two tapes (about 1.4 MB each for
             # fhnn at batch 256) are alive at once: freed any earlier, glibc
             # trims the heap top and the forward faults it back in page by page
             tape = ad.Tape()
             leaves = model.params.as_leaves(tape)
             total, parts = training_losses(
-                model, states[idx], nexts[idx], derivs[idx], times[idx], dt, config.weights, params=leaves
+                model, states[idx], None, derivs[idx], times[idx], None, config.weights, params=leaves
             )
             if not np.isfinite(parts.total):
                 raise _abort(model, best_params, best_epoch, best_val, log, epoch, checkpoint_dir)
@@ -301,9 +288,9 @@ def train(
                 ad.adam_step(model.params, grads, adam)
             except TrainingDivergedError as err:
                 raise _abort(model, best_params, best_epoch, best_val, log, epoch, checkpoint_dir) from err
-            sums += len(idx) * np.array([parts.l_deriv, parts.l_step, parts.l_smooth, parts.total])
+            sums += len(idx) * np.array([parts.l_deriv, parts.l_smooth, parts.total])
         means = (sums / n).tolist()
-        val_total = float("nan") if val_batch is None else validation_total(model, val_batch, dt, config)
+        val_total = float("nan") if val_batch is None else validation_total(model, val_batch, config)
         entry = EpochLog(epoch, lr, *means, val_total)
         log.append(entry)
         if val_batch is not None and val_total < best_val:
@@ -313,8 +300,8 @@ def train(
         if checkpoint_dir and config.checkpoint_every and epoch % config.checkpoint_every == 0:
             _save(model, model.params, checkpoint_dir / f"epoch{epoch:05d}.json", epoch)
         logger.info(
-            "epoch %5d  lr %.2e  l_deriv %.3e  l_step %.3e  l_smooth %.3e  total %.3e  val %.3e",
-            epoch, lr, means[0], means[1], means[2], means[3], val_total,
+            "epoch %5d  lr %.2e  l_deriv %.3e  l_smooth %.3e  total %.3e  val %.3e",
+            epoch, lr, means[0], means[1], means[2], val_total,
         )
 
     if val_batch is None:
